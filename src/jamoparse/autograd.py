@@ -1,7 +1,10 @@
 """Reverse-mode differentiation over dense numpy arrays.
 
 A graph is assembled dynamically while the forward pass runs and is torn
-down afterwards; only Parameter gradients survive a backward() call.
+down afterwards; only Parameter gradients survive a backward() call. A
+backward closure never holds its own output node, so a graph has no
+reference cycles and is freed by reference counting as soon as it is
+dropped, without waiting for Python's cyclic garbage collector.
 Vectors are 1-d arrays, weight matrices 2-d, scalars 0-d. A graph is
 single-threaded; a finished parameter set may be shared read-only.
 """
@@ -36,14 +39,22 @@ class Node:
 
 
 class Parameter(Node):
-    """Named leaf tensor with a persistent, same-shaped gradient slot."""
+    """Named leaf tensor with a persistent, same-shaped gradient slot.
 
-    __slots__ = ("name",)
+    A row-tracked parameter (``track_rows``: a 2-d lookup table) keeps in
+    ``rows`` the set of row indices :func:`row` has written gradient into
+    since the gradient was last cleared; its gradient is zero outside them,
+    so it must receive gradient through :func:`row` only. ``rows`` is None
+    for every other parameter.
+    """
 
-    def __init__(self, name: str, value: np.ndarray):
+    __slots__ = ("name", "rows")
+
+    def __init__(self, name: str, value: np.ndarray, track_rows: bool = False):
         super().__init__(value)
         self.name = name
         self.grad = np.zeros_like(value)
+        self.rows = set() if track_rows else None
 
     def __repr__(self):
         return "Parameter(%r, shape=%s)" % (self.name, self.value.shape)
@@ -55,9 +66,13 @@ def constant(value, dtype=np.float64) -> Node:
 
 
 def _accumulate(node: Node, delta) -> None:
-    if node.grad is None:
+    if node.grad is not None:
+        node.grad += delta
+    elif np.shape(delta) == node.value.shape:
+        node.grad = np.array(delta, dtype=node.value.dtype)  # a copy: one delta may feed two nodes
+    else:  # a broadcast delta
         node.grad = np.zeros_like(node.value)
-    node.grad += delta
+        node.grad += delta
 
 
 def add(a: Node, b: Node) -> Node:
@@ -111,10 +126,11 @@ def scale(a: Node, factor: float) -> Node:
 
 
 def tanh(a: Node) -> Node:
-    out = Node(np.tanh(a.value), (a,))
+    val = np.tanh(a.value)
+    out = Node(val, (a,))
 
     def backward_fn(grad):
-        _accumulate(a, grad * (1.0 - out.value * out.value))
+        _accumulate(a, grad * (1.0 - val * val))
 
     out.backward_fn = backward_fn
     return out
@@ -128,7 +144,7 @@ def sigmoid(a: Node) -> Node:
     out = Node(val, (a,))
 
     def backward_fn(grad):
-        _accumulate(a, grad * out.value * (1.0 - out.value))
+        _accumulate(a, grad * val * (1.0 - val))
 
     out.backward_fn = backward_fn
     return out
@@ -176,13 +192,22 @@ def vslice(a: Node, start: int, stop: int) -> Node:
 
 
 def row(table: Node, index: int) -> Node:
-    """Row lookup into a 2-d table (embedding access)."""
+    """Row lookup into a 2-d table (embedding access).
+
+    On a row-tracked :class:`Parameter` the backward pass also records the
+    row in ``table.rows``.
+    """
     out = Node(table.value[index], (table,))
+    rows = table.rows if isinstance(table, Parameter) else None
+    if rows is not None and index < 0:
+        index += table.value.shape[0]  # one id per row
 
     def backward_fn(grad):
         if table.grad is None:
             table.grad = np.zeros_like(table.value)
         table.grad[index] += grad
+        if rows is not None:
+            rows.add(index)
 
     out.backward_fn = backward_fn
     return out
@@ -263,10 +288,11 @@ def affine_tanh(pairs: Sequence[tuple[Node, Node]], bias: Node) -> Node:
     """tanh of :func:`affine`; fused so the pre-activation is not retained."""
     pairs = tuple(pairs)
     linear = affine(pairs, bias)  # reuse shape checks
-    out = Node(np.tanh(linear.value), linear.parents)
+    val = np.tanh(linear.value)
+    out = Node(val, linear.parents)
 
     def backward_fn(grad):
-        grad_pre = grad * (1.0 - out.value * out.value)
+        grad_pre = grad * (1.0 - val * val)
         for w, x in pairs:
             _accumulate(w, np.outer(grad_pre, x.value))
             _accumulate(x, w.value.T @ grad_pre)

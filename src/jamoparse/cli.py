@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from collections import Counter
 
 from . import data, hangul
 from .encoder import UnitConfig
@@ -70,10 +71,21 @@ def cmd_train(args) -> int:
     train_sentences = data.read_conllu(args.train_path)
     for issue in data.validate_treebank(train_sentences):
         print("warning: %s" % issue, file=sys.stderr)
-    projective = [s for s in train_sentences if data.is_projective(s)]
-    dropped = len(train_sentences) - len(projective)
-    if dropped:
-        print("skipping %d non-projective training sentence(s)" % dropped, file=sys.stderr)
+    usable = []
+    skipped: Counter = Counter()
+    for sentence in train_sentences:
+        reason = data.check_tree(sentence)
+        if reason is None and not data.is_projective(sentence):
+            reason = "non-projective"
+        if reason is None:
+            usable.append(sentence)
+        else:
+            skipped[reason] += 1
+    nonprojective = skipped.pop("non-projective", 0)
+    if nonprojective:
+        print("skipping %d non-projective training sentence(s)" % nonprojective, file=sys.stderr)
+    for reason, count in sorted(skipped.items()):
+        print("skipping %d malformed training sentence(s): %s" % (count, reason), file=sys.stderr)
     dev_sentences = data.read_conllu(args.dev) if args.dev else None
     config = UnitConfig(dim_jamo=args.dim_jamo, dim_char=args.dim_char,
                         dim_word=args.dim_word, dim_encoder=args.dim_encoder)
@@ -83,7 +95,7 @@ def cmd_train(args) -> int:
     vectors = None
     if args.embeddings:
         _, vectors = data.read_embeddings(args.embeddings, expected_dim=config.dim_word or None)
-    result = train(projective, dev_sentences, config, settings,
+    result = train(usable, dev_sentences, config, settings,
                    embedding_vectors=vectors,
                    expand_vocabulary=not args.no_expand_vocab,
                    log=print)

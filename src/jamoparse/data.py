@@ -122,6 +122,39 @@ def validate_treebank(sentences: list[ConlluSentence]) -> list[str]:
     return issues
 
 
+def check_tree(sentence: ConlluSentence) -> str | None:
+    """Why the gold heads do not form a tree under the root, or None if they do.
+
+    The reason is one of "missing head", "head out of range" (outside
+    0..n), "self-loop" and "cycle" (some token does not reach the root).
+    Several tokens may attach to the root: the arc-hybrid system builds
+    such trees, and :func:`validate_treebank` warns about them.
+    """
+    heads = [None] + [t.head for t in sentence.tokens]
+    n = len(sentence)
+    for pos in range(1, n + 1):
+        if heads[pos] is None:
+            return "missing head"
+        if not 0 <= heads[pos] <= n:
+            return "head out of range"
+        if heads[pos] == pos:
+            return "self-loop"
+    # 0: not seen yet, 1: on the current walk, 2: reaches the root
+    state = [2] + [0] * n
+    for start in range(1, n + 1):
+        walk = []
+        pos = start
+        while state[pos] == 0:
+            state[pos] = 1
+            walk.append(pos)
+            pos = heads[pos]
+        if state[pos] == 1:
+            return "cycle"
+        for pos in walk:
+            state[pos] = 2
+    return None
+
+
 def is_projective(sentence: ConlluSentence) -> bool:
     """True iff no two arcs cross (root arcs included, root at position 0)."""
     arcs = []

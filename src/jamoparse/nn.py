@@ -1,6 +1,7 @@
 """Trainable parameter storage, initialisation, LSTM cells, and optimizers."""
 from __future__ import annotations
 
+import bisect
 import math
 from typing import Iterator
 
@@ -31,8 +32,8 @@ class ParameterStore:
                 "parameter %r has shape %s, expected %s" % (name, param.value.shape, shape))
         return param
 
-    def _register(self, name: str, value: np.ndarray) -> Parameter:
-        param = Parameter(name, value)
+    def _register(self, name: str, value: np.ndarray, track_rows: bool = False) -> Parameter:
+        param = Parameter(name, value, track_rows)
         self._params[name] = param
         return param
 
@@ -51,11 +52,15 @@ class ParameterStore:
         return self._register(name, np.zeros(dim, dtype=self.dtype))
 
     def embedding(self, name: str, rows: int, dim: int) -> Parameter:
-        """Lookup table, uniform ±0.01 rows."""
+        """Lookup table, uniform ±0.01 rows.
+
+        A new table is row-tracked (see :class:`Parameter`): read it through
+        ``autograd.row`` only. A table bound from a loaded store stays dense.
+        """
         if name in self._params:
             return self._existing(name, (rows, dim))
         value = self.rng.uniform(-0.01, 0.01, size=(rows, dim)).astype(self.dtype, copy=False)
-        return self._register(name, value)
+        return self._register(name, value, track_rows=True)
 
     def add_raw(self, name: str, value: np.ndarray) -> Parameter:
         """Insert a pre-built array (deserialisation path)."""
@@ -80,8 +85,13 @@ class ParameterStore:
         return int(sum(p.value.size for p in self._params.values()))
 
     def zero_gradients(self) -> None:
+        """Clear every gradient; a row-tracked table clears its touched rows."""
         for param in self._params.values():
-            param.grad.fill(0.0)
+            if param.rows is None:
+                param.grad.fill(0.0)
+            elif param.rows:
+                param.grad[touched_rows(param)] = 0.0
+                param.rows.clear()
 
     def state_dict(self) -> dict[str, np.ndarray]:
         return {name: p.value.copy() for name, p in self._params.items()}
@@ -134,14 +144,9 @@ def lstm_step(cell: LSTMCell, x: Node, state: tuple[Node, Node]) -> tuple[Node, 
     return cell.step(x, state)
 
 
-def run_lstm(cell: LSTMCell, inputs: list[Node]) -> list[Node]:
-    """Run a whole sequence from the zero state; returns hidden vectors."""
-    state = cell.initial_state()
-    hiddens = []
-    for x in inputs:
-        state = cell.step(x, state)
-        hiddens.append(state[0])
-    return hiddens
+def touched_rows(param: Parameter) -> np.ndarray:
+    """Sorted indices of the rows a row-tracked parameter has gradient in."""
+    return np.array(sorted(param.rows), dtype=np.intp)
 
 
 class Sgd:
@@ -152,7 +157,11 @@ class Sgd:
 
     def step(self, store: ParameterStore) -> None:
         for _, param in store.parameters():
-            param.value -= self.learning_rate * param.grad
+            if param.rows is None:
+                param.value -= self.learning_rate * param.grad
+            elif param.rows:
+                rows = touched_rows(param)
+                param.value[rows] -= self.learning_rate * param.grad[rows]
         store.zero_gradients()
 
 
@@ -161,7 +170,11 @@ class Adam:
 
     Entries whose gradient is exactly zero are left untouched, so unused
     embedding rows never drift; the per-parameter step counter advances
-    only when that parameter receives gradient.
+    only when that parameter receives gradient. A row-tracked table is
+    updated on its touched rows only, and a dense tensor whose gradient is
+    nonzero everywhere in place, so a step costs the dense parameters plus
+    the rows the sentence used. Every entry sees the same arithmetic as a
+    full masked sweep, so the results are bit-identical to one.
     """
 
     def __init__(self, learning_rate: float = 1e-3, beta1: float = 0.9,
@@ -176,41 +189,108 @@ class Adam:
 
     def step(self, store: ParameterStore) -> None:
         for name, param in store.parameters():
-            grad = param.grad
-            mask = grad != 0
-            if not mask.any():
+            rows = None if param.rows is None else touched_rows(param)
+            grad = param.grad if rows is None else param.grad[rows]
+            nonzero = np.count_nonzero(grad)
+            if not nonzero:
                 continue
             if name not in self._m:
                 self._m[name] = np.zeros_like(param.value)
                 self._v[name] = np.zeros_like(param.value)
                 self._t[name] = 0
             self._t[name] += 1
-            t = self._t[name]
-            m, v = self._m[name], self._v[name]
+            t, m, v = self._t[name], self._m[name], self._v[name]
+            dense = nonzero == grad.size
+            if rows is None:
+                self._apply(param.value, grad, m, v, t, dense)
+            else:
+                value, m_rows, v_rows = param.value[rows], m[rows], v[rows]
+                self._apply(value, grad, m_rows, v_rows, t, dense)
+                param.value[rows], m[rows], v[rows] = value, m_rows, v_rows
+        store.zero_gradients()
+
+    def _apply(self, value, grad, m, v, t: int, dense: bool) -> None:
+        """Step ``value`` and the moments in place; ``dense``: no zero in ``grad``."""
+        if not dense:
+            mask = grad != 0
             g = grad[mask]
             m[mask] = self.beta1 * m[mask] + (1.0 - self.beta1) * g
             v[mask] = self.beta2 * v[mask] + (1.0 - self.beta2) * g * g
             m_hat = m[mask] / (1.0 - self.beta1 ** t)
             v_hat = v[mask] / (1.0 - self.beta2 ** t)
-            param.value[mask] -= self.learning_rate * m_hat / (np.sqrt(v_hat) + self.epsilon)
-        store.zero_gradients()
+            value[mask] -= self.learning_rate * m_hat / (np.sqrt(v_hat) + self.epsilon)
+            return
+        # the masked arithmetic above, operation for operation, on whole arrays
+        m *= self.beta1
+        scratch = np.multiply(grad, 1.0 - self.beta1)
+        m += scratch
+        v *= self.beta2
+        np.multiply(grad, 1.0 - self.beta2, out=scratch)
+        scratch *= grad
+        v += scratch
+        step = np.divide(m, 1.0 - self.beta1 ** t)
+        np.divide(v, 1.0 - self.beta2 ** t, out=scratch)
+        np.sqrt(scratch, out=scratch)
+        scratch += self.epsilon
+        step *= self.learning_rate
+        step /= scratch
+        value -= step
 
 
-def optimizer_step(optimizer, store: ParameterStore) -> None:
-    """Apply one update from accumulated gradients, then clear them."""
-    optimizer.step(store)
+def _square_sum(param: Parameter) -> float:
+    """``float(np.sum(param.grad * param.grad))``, bit for bit.
+
+    For a row-tracked table only the touched rows are read. numpy sums a
+    contiguous array pairwise: a block of at most 128 elements directly, a
+    longer one as the sum of its halves, split at half its length rounded
+    down to a multiple of 8. Untouched rows are zero, and a block of zeros
+    adds exactly 0.0, so recursing only into blocks that overlap a touched
+    row reproduces the full sum.
+    """
+    grad = param.grad
+    if param.rows is None:
+        return float(np.sum(grad * grad))
+    if not param.rows:
+        return 0.0
+    flat = grad.reshape(-1)
+    width = grad.shape[1]
+    starts = [r * width for r in sorted(param.rows)]
+
+    def touched(lo: int, hi: int) -> bool:
+        last = bisect.bisect_left(starts, hi)  # rows starting before hi: starts[:last]
+        return last > 0 and starts[last - 1] + width > lo
+
+    def block(lo: int, hi: int):
+        if hi - lo <= 128:
+            part = flat[lo:hi]
+            return np.sum(part * part)
+        half = (hi - lo) // 2
+        mid = lo + half - half % 8
+        left, right = touched(lo, mid), touched(mid, hi)
+        if left and right:
+            return block(lo, mid) + block(mid, hi)
+        return block(lo, mid) if left else block(mid, hi)
+
+    return float(block(0, flat.size))
 
 
 def clip_gradients(store: ParameterStore, max_norm: float) -> float:
-    """Scale all gradients down to a global L2 norm of ``max_norm``."""
+    """Scale all gradients down to a global L2 norm of ``max_norm``.
+
+    Returns the norm before clipping. Row-tracked tables are read and
+    scaled on their touched rows only.
+    """
     total = 0.0
     for _, param in store.parameters():
-        total += float(np.sum(param.grad * param.grad))
+        total += _square_sum(param)
     norm = math.sqrt(total)
     if norm > max_norm and norm > 0.0:
         factor = max_norm / norm
         for _, param in store.parameters():
-            param.grad *= factor
+            if param.rows is None:
+                param.grad *= factor
+            elif param.rows:
+                param.grad[touched_rows(param)] *= factor
     return norm
 
 

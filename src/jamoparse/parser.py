@@ -7,7 +7,8 @@ import numpy as np
 
 from . import transition as T
 from .autograd import Node, add_n, affine, affine_tanh, backward, concat, pick, sub
-from .data import ConlluSentence, Token, build_label_vocabulary, build_vocabularies, evaluate, is_projective
+from .data import (ConlluSentence, Token, build_label_vocabulary, build_vocabularies, check_tree,
+                   evaluate, is_projective)
 from .encoder import SentenceEncoder, UnitConfig
 from .nn import ParameterStore, clip_gradients, make_optimizer
 from .vocab import Vocabulary
@@ -15,6 +16,10 @@ from .vocab import Vocabulary
 
 class NonProjectiveError(ValueError):
     """Training was handed a non-projective tree; filter first."""
+
+
+class MalformedTreeError(ValueError):
+    """Training was handed gold heads that do not form a tree; see data.check_tree."""
 
 
 @dataclass
@@ -229,13 +234,23 @@ def train(train_sentences: list[ConlluSentence],
           log=None) -> TrainResult:
     """Max-margin training with per-epoch dev model selection.
 
-    Raises NonProjectiveError on non-projective training input. With a dev
+    Raises MalformedTreeError on gold heads that do not form a tree and
+    NonProjectiveError on non-projective training input. With a dev
     treebank the best-LAS parameter snapshot wins; otherwise the last epoch
     does. ``log`` receives one machine-parseable line per epoch.
+
+    Each history entry holds the epoch, its summed hinge loss, dev ``uas``
+    and ``las`` when a dev treebank is given, the number of parameter
+    ``updates``, the mean and maximum gradient norm before clipping
+    (``grad_norm_mean``, ``grad_norm_max``) and the share of updates that
+    were clipped (``clip_rate``); the last three are 0.0 without updates.
     """
     if not train_sentences:
         raise ValueError("empty training treebank")
     for num, sentence in enumerate(train_sentences, start=1):
+        problem = check_tree(sentence)
+        if problem is not None:
+            raise MalformedTreeError("training sentence %d is not a tree: %s" % (num, problem))
         if not is_projective(sentence):
             raise NonProjectiveError("training sentence %d is non-projective" % num)
 
@@ -263,6 +278,7 @@ def train(train_sentences: list[ConlluSentence],
     for epoch in range(1, settings.epochs + 1):
         order = rng.permutation(len(train_sentences))
         epoch_loss = 0.0
+        norms = []
         for position in order:
             sentence = train_sentences[int(position)]
             loss_node, hinge_total = sentence_training_pass(
@@ -270,9 +286,13 @@ def train(train_sentences: list[ConlluSentence],
             epoch_loss += hinge_total
             if loss_node is not None:
                 backward(loss_node)
-                clip_gradients(store, settings.clip_norm)
+                norms.append(clip_gradients(store, settings.clip_norm))
                 optimizer.step(store)
-        entry = {"epoch": epoch, "loss": epoch_loss}
+        entry = {"epoch": epoch, "loss": epoch_loss, "updates": len(norms),
+                 "grad_norm_mean": sum(norms) / len(norms) if norms else 0.0,
+                 "grad_norm_max": max(norms, default=0.0),
+                 "clip_rate": (sum(norm > settings.clip_norm for norm in norms) / len(norms)
+                               if norms else 0.0)}
         if dev_sentences:
             predicted = [parse_to_sentence(encoder, scorer, label_vocab, s.forms)
                          for s in dev_sentences]

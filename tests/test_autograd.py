@@ -1,3 +1,5 @@
+import gc
+
 import numpy as np
 import pytest
 
@@ -131,6 +133,27 @@ def test_finite_outputs_on_extreme_inputs():
     assert np.all(np.isfinite(out.value))
     backward(vsum(out))
     assert np.all(np.isfinite(big.grad))
+
+
+def test_dropped_graph_leaves_no_reference_cycles():
+    # graphs must be freed by reference counting, not by the cyclic collector
+    store = ParameterStore(seed=0)
+    cell = LSTMCell(store, "cell", 3, 2)
+    table = store.embedding("emb", 4, 3)
+    w, b = store.matrix("w", 2, 3), store.vector("b", 2)
+    gc.collect()
+    gc.disable()
+    try:
+        state = cell.initial_state()
+        for index in (0, 2, 0):
+            state = cell.step(row(table, index), state)
+        out = affine_tanh([(w, row(table, 1))], b)
+        loss = vsum(mul(tanh(sigmoid(add(state[0], out))), state[1]))
+        backward(loss)
+        del state, out, loss
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 class TestLSTM:

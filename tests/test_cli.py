@@ -1,4 +1,8 @@
 # -*- coding: utf-8 -*-
+import os
+import subprocess
+import sys
+
 import pytest
 
 from jamoparse.cli import decompose_lines, main
@@ -176,3 +180,45 @@ class TestTrainParseEval:
                                "--embeddings", str(vec))
         assert code == 1
         assert "dimension" in err
+
+
+def conllu_rows(*rows):
+    return "".join("%d\t%s\t_\t_\t_\t_\t%d\t%s\t_\t_\n" % (i, form, head, label)
+                   for i, (form, head, label) in enumerate(rows, start=1)) + "\n"
+
+
+CYCLE = conllu_rows(("나는", 2, "nsubj"), ("갔다", 1, "dep"), ("집에", 0, "root"))
+HEAD_OUT_OF_RANGE = conllu_rows(("나는", 9, "nsubj"), ("갔다", 0, "root"))
+GOOD = conllu_rows(("나는", 2, "nsubj"), ("갔다", 0, "root"))
+
+
+class TestMalformedTrainingTrees:
+    @pytest.mark.parametrize("text,reason", [(CYCLE, "cycle"),
+                                             (HEAD_OUT_OF_RANGE, "head out of range")])
+    def test_bad_file_exits_1_without_traceback(self, tmp_path, text, reason):
+        path = tmp_path / "bad.conllu"
+        path.write_text(text, encoding="utf-8")
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "jamoparse.cli", "train", "--train", str(path),
+             "--model", str(tmp_path / "m.model"), "--epochs", "1"],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert "skipping 1 malformed training sentence(s): %s" % reason in proc.stderr
+        assert "non-projective" not in proc.stderr
+        assert not (tmp_path / "m.model").exists()
+
+    def test_bad_sentences_are_skipped_with_counts(self, tmp_path, capsys):
+        path = tmp_path / "mixed.conllu"
+        path.write_text(GOOD + CYCLE + HEAD_OUT_OF_RANGE + CYCLE, encoding="utf-8")
+        code, out, err = run_cli(capsys, "train", "--train", str(path),
+                                 "--model", str(tmp_path / "m.model"),
+                                 "--dim-jamo", "4", "--dim-char", "0", "--dim-word", "4",
+                                 "--dim-encoder", "8", "--hidden-dim", "4", "--epochs", "1")
+        assert code == 0
+        assert "skipping 2 malformed training sentence(s): cycle" in err
+        assert "skipping 1 malformed training sentence(s): head out of range" in err
+        assert out.startswith("epoch=1 loss=")

@@ -5,7 +5,8 @@ import pytest
 from jamoparse import hangul
 from jamoparse.data import (AlignmentError, ConlluFormatError, ConlluSentence,
                             EmbeddingFormatError, Token, build_label_vocabulary,
-                            build_vocabularies, evaluate, is_projective, load_embeddings,
+                            build_vocabularies, check_tree, evaluate, is_projective,
+                            load_embeddings,
                             read_conllu, read_embeddings, validate_treebank, write_conllu)
 from jamoparse.vocab import UNK, Vocabulary
 
@@ -95,6 +96,35 @@ class TestProjectivity:
         # arcs: (0,3) root, (3,1), (4,2): span (2,4) crosses (0,3)? 0<2<3<4 yes
         s = sentence(("a", 3, "d"), ("b", 4, "d"), ("c", 0, "r"), ("d", 3, "d"))
         assert not is_projective(s)
+
+
+class TestCheckTree:
+    def test_trees_pass(self):
+        assert check_tree(sentence(("a", 0, "r"), ("b", 1, "d"), ("c", 2, "d"))) is None
+        # crossing arcs are still a tree; projectivity is a separate check
+        assert check_tree(sentence(("a", 3, "d"), ("b", 4, "d"), ("c", 0, "r"),
+                                   ("d", 3, "d"))) is None
+
+    def test_several_root_attachments_are_a_tree(self):
+        assert check_tree(sentence(("a", 0, "r"), ("b", 0, "r"))) is None
+
+    def test_cycle(self):
+        assert check_tree(sentence(("a", 2, "d"), ("b", 1, "d"), ("c", 0, "r"))) == "cycle"
+        assert check_tree(sentence(("a", 0, "r"), ("b", 3, "d"), ("c", 4, "d"),
+                                   ("d", 2, "d"))) == "cycle"
+
+    def test_no_root_at_all_is_a_cycle(self):
+        assert check_tree(sentence(("a", 2, "d"), ("b", 1, "d"))) == "cycle"
+
+    def test_head_out_of_range(self):
+        assert check_tree(sentence(("a", 9, "d"), ("b", 0, "r"))) == "head out of range"
+        assert check_tree(sentence(("a", -1, "d"), ("b", 0, "r"))) == "head out of range"
+
+    def test_self_loop(self):
+        assert check_tree(sentence(("a", 0, "r"), ("b", 2, "d"))) == "self-loop"
+
+    def test_missing_head(self):
+        assert check_tree(sentence(("a", 0, "r"), ("b", None, "d"))) == "missing head"
 
 
 class TestVocabularies:

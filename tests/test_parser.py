@@ -11,7 +11,8 @@ from jamoparse.encoder import SentenceEncoder, UnitConfig
 from jamoparse.model_io import (CorruptModelError, ModelVersionError, TrainedModel,
                                 load_model, save_model)
 from jamoparse.nn import ParameterStore
-from jamoparse.parser import (NonProjectiveError, TrainSettings, TransitionScorer,
+from jamoparse.parser import (MalformedTreeError, NonProjectiveError, TrainSettings,
+                              TransitionScorer,
                               greedy_parse, sentence_loss, train)
 from jamoparse.vocab import Vocabulary
 
@@ -276,6 +277,26 @@ class TestTraining:
                               Token("c", 0, "root"), Token("d", 3, "d")])
         with pytest.raises(NonProjectiveError):
             train([bad], None, TOY_CONFIG, TrainSettings(epochs=1))
+
+    def test_malformed_tree_rejected_before_training(self):
+        good = ConlluSentence([Token("a", 0, "root"), Token("b", 1, "d")])
+        cyclic = ConlluSentence([Token("a", 2, "d"), Token("b", 1, "d"), Token("c", 0, "root")])
+        with pytest.raises(MalformedTreeError, match="sentence 2 is not a tree: cycle"):
+            train([good, cyclic], None, TOY_CONFIG, TrainSettings(epochs=1))
+        out_of_range = ConlluSentence([Token("a", 9, "d"), Token("b", 0, "root")])
+        with pytest.raises(MalformedTreeError, match="sentence 1 .*head out of range"):
+            train([out_of_range], None, TOY_CONFIG, TrainSettings(epochs=1))
+
+    def test_history_reports_gradient_norms(self, toy_treebank_path_module):
+        sentences = read_conllu(toy_treebank_path_module)
+        settings = TrainSettings(epochs=2, seed=9, learning_rate=0.01, hidden_dim=8)
+        config = UnitConfig(dim_jamo=8, dim_char=0, dim_word=8, dim_encoder=16)
+        first = train(sentences, None, config, settings)
+        for entry in first.history:
+            assert 0 < entry["updates"] <= len(sentences)
+            assert 0.0 < entry["grad_norm_mean"] <= entry["grad_norm_max"]
+            assert 0.0 <= entry["clip_rate"] <= 1.0
+        assert train(sentences, None, config, settings).history == first.history
 
     def test_empty_treebank_rejected(self):
         with pytest.raises(ValueError):
