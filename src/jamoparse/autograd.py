@@ -179,13 +179,18 @@ def concat(parts: Sequence[Node]) -> Node:
     return out
 
 
+def _add_at(node: Node, index, grad) -> None:
+    """``node.grad[index] += grad``, allocating the gradient on first use."""
+    if node.grad is None:
+        node.grad = np.zeros_like(node.value)
+    node.grad[index] += grad
+
+
 def vslice(a: Node, start: int, stop: int) -> Node:
     out = Node(a.value[start:stop], (a,))
 
     def backward_fn(grad):
-        if a.grad is None:
-            a.grad = np.zeros_like(a.value)
-        a.grad[start:stop] += grad
+        _add_at(a, slice(start, stop), grad)
 
     out.backward_fn = backward_fn
     return out
@@ -203,9 +208,7 @@ def row(table: Node, index: int) -> Node:
         index += table.value.shape[0]  # one id per row
 
     def backward_fn(grad):
-        if table.grad is None:
-            table.grad = np.zeros_like(table.value)
-        table.grad[index] += grad
+        _add_at(table, index, grad)
         if rows is not None:
             rows.add(index)
 
@@ -218,9 +221,7 @@ def pick(a: Node, index: int) -> Node:
     out = Node(a.value[index], (a,))
 
     def backward_fn(grad):
-        if a.grad is None:
-            a.grad = np.zeros_like(a.value)
-        a.grad[index] += grad
+        _add_at(a, index, grad)
 
     out.backward_fn = backward_fn
     return out
@@ -255,9 +256,8 @@ def add_n(nodes: Sequence[Node]) -> Node:
     return out
 
 
-def affine(pairs: Sequence[tuple[Node, Node]], bias: Node) -> Node:
-    """bias + sum of matrix @ vector over all pairs."""
-    pairs = tuple(pairs)
+def _affine_forward(pairs: tuple, bias: Node) -> tuple[np.ndarray, tuple[Node, ...]]:
+    """Checked ``bias + sum of matrix @ vector`` over all pairs, and the parent nodes."""
     if bias.value.ndim != 1:
         raise ShapeMismatchError("affine: bias must be a vector, got %s" % (bias.value.shape,))
     pre = bias.value.copy()
@@ -271,32 +271,38 @@ def affine(pairs: Sequence[tuple[Node, Node]], bias: Node) -> Node:
                 "affine: pair %d rows %d != bias size %d"
                 % (i, w.value.shape[0], bias.value.shape[0]))
         pre += w.value @ x.value
-    parents = tuple(n for pair in pairs for n in pair) + (bias,)
-    out = Node(pre, parents)
+    return pre, tuple(n for pair in pairs for n in pair) + (bias,)
+
+
+def _affine_backward(pairs: tuple, bias: Node, grad) -> None:
+    """Accumulate gradients of the pre-activation ``grad`` into weights, inputs and bias."""
+    for w, x in pairs:
+        _accumulate(w, np.outer(grad, x.value))
+        _accumulate(x, w.value.T @ grad)
+    _accumulate(bias, grad)
+
+
+def affine(pairs: Sequence[tuple[Node, Node]], bias: Node) -> Node:
+    """bias + sum of matrix @ vector over all pairs."""
+    pairs = tuple(pairs)
+    out = Node(*_affine_forward(pairs, bias))
 
     def backward_fn(grad):
-        for w, x in pairs:
-            _accumulate(w, np.outer(grad, x.value))
-            _accumulate(x, w.value.T @ grad)
-        _accumulate(bias, grad)
+        _affine_backward(pairs, bias, grad)
 
     out.backward_fn = backward_fn
     return out
 
 
 def affine_tanh(pairs: Sequence[tuple[Node, Node]], bias: Node) -> Node:
-    """tanh of :func:`affine`; fused so the pre-activation is not retained."""
+    """tanh of :func:`affine`, as one node; the pre-activation is not retained."""
     pairs = tuple(pairs)
-    linear = affine(pairs, bias)  # reuse shape checks
-    val = np.tanh(linear.value)
-    out = Node(val, linear.parents)
+    pre, parents = _affine_forward(pairs, bias)
+    val = np.tanh(pre)
+    out = Node(val, parents)
 
     def backward_fn(grad):
-        grad_pre = grad * (1.0 - val * val)
-        for w, x in pairs:
-            _accumulate(w, np.outer(grad_pre, x.value))
-            _accumulate(x, w.value.T @ grad_pre)
-        _accumulate(bias, grad_pre)
+        _affine_backward(pairs, bias, grad * (1.0 - val * val))
 
     out.backward_fn = backward_fn
     return out

@@ -103,32 +103,25 @@ def write_conllu(sentences: list[ConlluSentence], path) -> None:
 
 
 def validate_treebank(sentences: list[ConlluSentence]) -> list[str]:
-    """Report (not raise) head-index and root-count violations."""
+    """Report (not raise) check_tree failures, as "sentence N: <reason>", and odd root counts."""
     issues = []
     for num, sentence in enumerate(sentences, start=1):
-        n = len(sentence)
-        roots = 0
-        for pos, token in enumerate(sentence.tokens, start=1):
-            if token.head is None:
-                continue
-            if not 0 <= token.head <= n:
-                issues.append("sentence %d token %d: head %d out of range" % (num, pos, token.head))
-            elif token.head == pos:
-                issues.append("sentence %d token %d: self-headed" % (num, pos))
-            if token.head == 0:
-                roots += 1
+        problem = check_tree(sentence)
+        if problem is not None:
+            issues.append("sentence %d: %s" % (num, problem))
+        roots = sum(t.head == 0 for t in sentence.tokens)
         if roots != 1 and any(t.head is not None for t in sentence.tokens):
             issues.append("sentence %d: %d tokens attached to root" % (num, roots))
     return issues
 
 
 def check_tree(sentence: ConlluSentence) -> str | None:
-    """Why the gold heads do not form a tree under the root, or None if they do.
+    """Why the gold annotation is not a labeled tree under the root, or None if it is.
 
     The reason is one of "missing head", "head out of range" (outside
-    0..n), "self-loop" and "cycle" (some token does not reach the root).
-    Several tokens may attach to the root: the arc-hybrid system builds
-    such trees, and :func:`validate_treebank` warns about them.
+    0..n), "self-loop", "missing label" and "cycle" (some token does not
+    reach the root). Several tokens may attach to the root: the arc-hybrid
+    system builds such trees, and :func:`validate_treebank` warns about them.
     """
     heads = [None] + [t.head for t in sentence.tokens]
     n = len(sentence)
@@ -139,6 +132,8 @@ def check_tree(sentence: ConlluSentence) -> str | None:
             return "head out of range"
         if heads[pos] == pos:
             return "self-loop"
+        if sentence.tokens[pos - 1].label is None:
+            return "missing label"
     # 0: not seen yet, 1: on the current walk, 2: reaches the root
     state = [2] + [0] * n
     for start in range(1, n + 1):
@@ -248,7 +243,7 @@ def build_label_vocabulary(sentences: list[ConlluSentence]) -> Vocabulary:
 
 
 def read_embeddings(path, expected_dim: int | None = None) -> tuple[int, dict[str, np.ndarray]]:
-    """Read `token v1 .. vD` lines; all rows must share one dimension."""
+    """Read `token v1 .. vD` lines; all rows must share one finite-valued dimension."""
     vectors: dict[str, np.ndarray] = {}
     dim: int | None = None
     with open(path, encoding="utf-8") as handle:
@@ -264,6 +259,8 @@ def read_embeddings(path, expected_dim: int | None = None) -> tuple[int, dict[st
                 vector = np.array([float(v) for v in values], dtype=np.float64)
             except ValueError:
                 raise EmbeddingFormatError("line %d: non-numeric value" % lineno) from None
+            if not np.isfinite(vector).all():
+                raise EmbeddingFormatError("line %d: non-finite value" % lineno)
             if dim is None:
                 dim = vector.size
                 if expected_dim is not None and dim != expected_dim:

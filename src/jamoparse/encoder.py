@@ -14,7 +14,7 @@ import numpy as np
 
 from . import hangul
 from .autograd import Node, affine_tanh, concat, row
-from .nn import LSTMCell, ParameterStore
+from .nn import LSTMCell, ParameterStore, bilstm
 from .vocab import UNK, Vocabulary
 
 
@@ -118,16 +118,10 @@ class SentenceEncoder:
         if self.config.dim_jamo == 0:
             raise ValueError("jamo tier is disabled (dim_jamo = 0)")
         triple = hangul.decompose(char)
-        if triple is None:
-            atomic = row(self.jamo_emb, self.jamo_vocab.id_of(char))
-            return affine_tanh([(self.head_weight, atomic)], self.jamo_bias)
-        head = row(self.jamo_emb, self.jamo_vocab.id_of(triple.head))
-        vowel = row(self.jamo_emb, self.jamo_vocab.id_of(triple.vowel))
-        tail = row(self.jamo_emb, self.jamo_vocab.id_of(triple.tail))
-        return affine_tanh(
-            [(self.head_weight, head), (self.vowel_weight, vowel), (self.tail_weight, tail)],
-            self.jamo_bias,
-        )
+        letters = [char] if triple is None else [triple.head, triple.vowel, triple.tail]
+        weights = (self.head_weight, self.vowel_weight, self.tail_weight)
+        return affine_tanh([(w, row(self.jamo_emb, self.jamo_vocab.id_of(letter)))
+                            for w, letter in zip(weights, letters)], self.jamo_bias)
 
     def _char_input(self, char: str) -> Node:
         parts = []
@@ -147,16 +141,9 @@ class SentenceEncoder:
             return Node(np.zeros(0, dtype=self.store.dtype))
         if not word:
             raise ValueError("cannot encode an empty word")
-        inputs = [self._char_input(c) for c in word]
-        state = self.char_fwd.initial_state()
-        for x in inputs:
-            state = self.char_fwd.step(x, state)
-        forward_last = state[0]
-        state = self.char_bwd.initial_state()
-        for x in reversed(inputs):
-            state = self.char_bwd.step(x, state)
-        backward_first = state[0]
-        return affine_tanh([(self.char_out, concat([forward_last, backward_first]))],
+        forward, backward = bilstm(self.char_fwd, self.char_bwd,
+                                   [self._char_input(c) for c in word])
+        return affine_tanh([(self.char_out, concat([forward[-1], backward[0]]))],
                            self.char_out_bias)
 
     def _word_id(self, word: str, training: bool, rng) -> int:
@@ -175,26 +162,15 @@ class SentenceEncoder:
         """
         if not words:
             raise ValueError("cannot encode an empty sentence")
-        inputs = []
+        sequence = []
         for word in words:
             parts = []
             if self.config.uses_chars:
                 parts.append(self.word_repr(word))
             if self.config.dim_word > 0:
                 parts.append(row(self.word_emb, self._word_id(word, training, rng)))
-            inputs.append(parts[0] if len(parts) == 1 else concat(parts))
-        sequence = inputs
+            sequence.append(parts[0] if len(parts) == 1 else concat(parts))
         for fwd, bwd in ((self.layer1_fwd, self.layer1_bwd), (self.layer2_fwd, self.layer2_bwd)):
-            state = fwd.initial_state()
-            forward = []
-            for x in sequence:
-                state = fwd.step(x, state)
-                forward.append(state[0])
-            state = bwd.initial_state()
-            backward = []
-            for x in reversed(sequence):
-                state = bwd.step(x, state)
-                backward.append(state[0])
-            backward.reverse()
+            forward, backward = bilstm(fwd, bwd, sequence)
             sequence = [concat([f, b]) for f, b in zip(forward, backward)]
         return sequence

@@ -139,9 +139,22 @@ class LSTMCell:
         return new_hidden, new_memory
 
 
-def lstm_step(cell: LSTMCell, x: Node, state: tuple[Node, Node]) -> tuple[Node, Node]:
-    """Functional form of :meth:`LSTMCell.step`."""
-    return cell.step(x, state)
+def bilstm(fwd: LSTMCell, bwd: LSTMCell, inputs: list[Node]) -> tuple[list[Node], list[Node]]:
+    """Hidden states of ``fwd`` run left to right and ``bwd`` right to left.
+
+    Both lists are in input order: ``forward[i]`` has read ``inputs[:i + 1]``
+    and ``backward[i]`` has read ``inputs[i:]``.
+    """
+    return _hidden_states(fwd, inputs), _hidden_states(bwd, inputs[::-1])[::-1]
+
+
+def _hidden_states(cell: LSTMCell, inputs: list[Node]) -> list[Node]:
+    states = []
+    state = cell.initial_state()
+    for x in inputs:
+        state = cell.step(x, state)
+        states.append(state[0])
+    return states
 
 
 def touched_rows(param: Parameter) -> np.ndarray:

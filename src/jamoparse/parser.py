@@ -22,6 +22,14 @@ class MalformedTreeError(ValueError):
     """Training was handed gold heads that do not form a tree; see data.check_tree."""
 
 
+#: Hinge margin: a wrong transition must score this much below the best correct one.
+MARGIN = 1.0
+#: Chance of following a wrong transition that outscores every correct one.
+EXPLORATION = 0.1
+#: Global L2 norm gradients are clipped to before each update.
+CLIP_NORM = 5.0
+
+
 @dataclass
 class TrainSettings:
     """Hyperparameters of a training run."""
@@ -31,11 +39,8 @@ class TrainSettings:
     optimizer: str = "adam"
     learning_rate: float = 1e-3
     hidden_dim: int = 100
-    margin: float = 1.0
     oracle: str = "dynamic"  # or "static"
-    exploration: float = 0.1
     explore_from_epoch: int = 2
-    clip_norm: float = 5.0
     float32: bool = False
 
 
@@ -166,7 +171,7 @@ def sentence_training_pass(encoder, scorer, sentence: ConlluSentence,
                            rng, epoch: int, training: bool = True):
     """Run the oracle-guided transition sequence once; returns (loss node, hinge total).
 
-    Hinge terms 1 + score(best wrong) - score(best correct) are collected
+    Hinge terms MARGIN + score(best wrong) - score(best correct) are collected
     whenever the margin is violated; the returned node backpropagates their
     sum (the margin constant has no gradient).
     """
@@ -188,7 +193,7 @@ def sentence_training_pass(encoder, scorer, sentence: ConlluSentence,
         if best_correct.index < 0:
             raise RuntimeError("no correct transition available; oracle invariant broken")
         if best_wrong.index >= 0:
-            hinge = settings.margin + best_wrong.score - best_correct.score
+            hinge = MARGIN + best_wrong.score - best_correct.score
             if hinge > 0:
                 loss_terms.append(sub(pick(score_node, best_wrong.index),
                                       pick(score_node, best_correct.index)))
@@ -198,7 +203,7 @@ def sentence_training_pass(encoder, scorer, sentence: ConlluSentence,
         else:
             move = scorer.transition_of(best_correct.index)
             if (explore and best_wrong.index >= 0 and best_wrong.score > best_correct.score
-                    and rng.random() < settings.exploration):
+                    and rng.random() < EXPLORATION):
                 move = scorer.transition_of(best_wrong.index)
         config.apply(move.kind, move.label)
     loss_node = add_n(loss_terms) if loss_terms else None
@@ -286,12 +291,12 @@ def train(train_sentences: list[ConlluSentence],
             epoch_loss += hinge_total
             if loss_node is not None:
                 backward(loss_node)
-                norms.append(clip_gradients(store, settings.clip_norm))
+                norms.append(clip_gradients(store, CLIP_NORM))
                 optimizer.step(store)
         entry = {"epoch": epoch, "loss": epoch_loss, "updates": len(norms),
                  "grad_norm_mean": sum(norms) / len(norms) if norms else 0.0,
                  "grad_norm_max": max(norms, default=0.0),
-                 "clip_rate": (sum(norm > settings.clip_norm for norm in norms) / len(norms)
+                 "clip_rate": (sum(norm > CLIP_NORM for norm in norms) / len(norms)
                                if norms else 0.0)}
         if dev_sentences:
             predicted = [parse_to_sentence(encoder, scorer, label_vocab, s.forms)

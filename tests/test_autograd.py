@@ -6,7 +6,7 @@ import pytest
 from jamoparse.autograd import (Parameter, ShapeMismatchError, add, add_n, affine,
                                 affine_tanh, backward, concat, constant, matvec, mul, pick,
                                 row, scale, sigmoid, sub, tanh, vslice, vsum)
-from jamoparse.nn import Adam, LSTMCell, ParameterStore, Sgd, clip_gradients, lstm_step
+from jamoparse.nn import Adam, LSTMCell, ParameterStore, Sgd, clip_gradients
 
 from conftest import assert_gradients_match
 
@@ -162,7 +162,7 @@ class TestLSTM:
         cell = LSTMCell(store, "cell", 3, 2)
         cell.weights.value.fill(0.0)
         cell.bias.value.fill(0.0)
-        h, c = lstm_step(cell, constant([5.0, -1.0, 2.0]), cell.initial_state())
+        h, c = cell.step(constant([5.0, -1.0, 2.0]), cell.initial_state())
         assert np.array_equal(h.value, np.zeros(2))
         assert np.array_equal(c.value, np.zeros(2))
 

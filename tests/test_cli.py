@@ -190,11 +190,22 @@ def conllu_rows(*rows):
 CYCLE = conllu_rows(("나는", 2, "nsubj"), ("갔다", 1, "dep"), ("집에", 0, "root"))
 HEAD_OUT_OF_RANGE = conllu_rows(("나는", 9, "nsubj"), ("갔다", 0, "root"))
 GOOD = conllu_rows(("나는", 2, "nsubj"), ("갔다", 0, "root"))
+MISSING_LABEL = conllu_rows(("나는", 2, "_"), ("갔다", 0, "root"))
+
+
+def run_cli_process(*argv):
+    """``python -m jamoparse.cli`` in a child process, with this checkout's sources."""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    return subprocess.run([sys.executable, "-m", "jamoparse.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
 
 
 class TestMalformedTrainingTrees:
     @pytest.mark.parametrize("text,reason", [(CYCLE, "cycle"),
-                                             (HEAD_OUT_OF_RANGE, "head out of range")])
+                                             (HEAD_OUT_OF_RANGE, "head out of range"),
+                                             (MISSING_LABEL, "missing label")])
     def test_bad_file_exits_1_without_traceback(self, tmp_path, text, reason):
         path = tmp_path / "bad.conllu"
         path.write_text(text, encoding="utf-8")
@@ -222,3 +233,29 @@ class TestMalformedTrainingTrees:
         assert "skipping 2 malformed training sentence(s): cycle" in err
         assert "skipping 1 malformed training sentence(s): head out of range" in err
         assert out.startswith("epoch=1 loss=")
+
+    def test_unlabeled_sentence_is_skipped(self, tmp_path, capsys):
+        path = tmp_path / "two.conllu"
+        path.write_text(GOOD + MISSING_LABEL, encoding="utf-8")
+        code, out, err = run_cli(capsys, "train", "--train", str(path),
+                                 "--model", str(tmp_path / "m.model"),
+                                 "--dim-jamo", "4", "--dim-char", "0", "--dim-word", "4",
+                                 "--dim-encoder", "8", "--hidden-dim", "4", "--epochs", "1")
+        assert code == 0
+        assert "skipping 1 malformed training sentence(s): missing label" in err
+        assert out.startswith("epoch=1 loss=")
+        assert (tmp_path / "m.model").exists()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_embedding_exits_1_without_traceback(tmp_path, toy_treebank_path, value):
+    vec = tmp_path / "vec.txt"
+    vec.write_text("갔다 0.1 0.2 0.3 0.4\n나는 0.1 %s 0.3 0.4\n" % value, encoding="utf-8")
+    proc = run_cli_process("train", "--train", toy_treebank_path,
+                           "--model", str(tmp_path / "m.model"), "--dim-jamo", "4",
+                           "--dim-char", "0", "--dim-word", "4", "--dim-encoder", "8",
+                           "--hidden-dim", "4", "--epochs", "2", "--embeddings", str(vec))
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert "error: line 2: non-finite value" in proc.stderr
+    assert not (tmp_path / "m.model").exists()

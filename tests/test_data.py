@@ -78,6 +78,15 @@ def test_validate_treebank_reports_not_raises():
     assert any("root" in i for i in issues)
 
 
+def test_validate_treebank_reports_check_tree_reasons_per_sentence():
+    tb = [sentence(("a", 0, "root"), ("b", 1, "dep")),
+          sentence(("a", 2, "dep"), ("b", 3, "dep"), ("c", 1, "dep"), ("d", 0, "root")),
+          sentence(("a", 0, "root"), ("b", 1, None))]
+    assert validate_treebank(tb) == ["sentence 2: cycle", "sentence 3: missing label"]
+    assert validate_treebank([sentence(("a", 0, "root"), ("b", 0, "root"))]) == [
+        "sentence 1: 2 tokens attached to root"]
+
+
 class TestProjectivity:
     def test_chain_is_projective(self):
         assert is_projective(sentence(("a", 0, "r"), ("b", 1, "d"), ("c", 2, "d")))
@@ -125,6 +134,9 @@ class TestCheckTree:
 
     def test_missing_head(self):
         assert check_tree(sentence(("a", 0, "r"), ("b", None, "d"))) == "missing head"
+
+    def test_missing_label(self):
+        assert check_tree(sentence(("a", 0, "r"), ("b", 1, None))) == "missing label"
 
 
 class TestVocabularies:
@@ -210,6 +222,13 @@ class TestEmbeddings:
         path = tmp_path / "vec.txt"
         path.write_text("a one two\n", encoding="utf-8")
         with pytest.raises(EmbeddingFormatError, match="non-numeric"):
+            read_embeddings(path)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "NaN", "Infinity"])
+    def test_non_finite_value_rejected(self, tmp_path, value):
+        path = tmp_path / "vec.txt"
+        path.write_text("a 1.0 2.0\nb 0.5 %s\n" % value, encoding="utf-8")
+        with pytest.raises(EmbeddingFormatError, match="line 2: non-finite value"):
             read_embeddings(path)
 
     def test_overlap_matches_set_intersection_oracle(self, tmp_path):

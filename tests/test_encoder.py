@@ -190,6 +190,39 @@ class TestSentenceEncode:
         assert not np.allclose(z_n[1].value, z_l[1].value)
         assert np.array_equal(z_n[1].value, z_n2[1].value)  # control
 
+    def test_matches_manual_two_layer_bilstm_oracle(self):
+        # independent numpy evaluation of both sentence layers over [word_repr; word emb]
+        enc, _ = make_encoder(UnitConfig(3, 2, 4, 6), CORPUS)
+        words = ["나는", "산을", "갔다", "ab", "물"]
+
+        def sigmoid(z):
+            return 1.0 / (1.0 + np.exp(-z))
+
+        def run(cell, inputs):
+            h = np.zeros(cell.hidden_dim)
+            c = np.zeros(cell.hidden_dim)
+            states = []
+            for x in inputs:
+                gates = cell.weights.value @ np.concatenate([x, h]) + cell.bias.value
+                n = cell.hidden_dim
+                i, f = sigmoid(gates[:n]), sigmoid(gates[n:2 * n])
+                g, o = np.tanh(gates[2 * n:3 * n]), sigmoid(gates[3 * n:])
+                c = f * c + i * g
+                h = o * np.tanh(c)
+                states.append(h)
+            return states
+
+        layer = [np.concatenate([enc.word_repr(w).value,
+                                 enc.word_emb.value[enc.word_vocab.id_of(w)]]) for w in words]
+        for fwd, bwd in ((enc.layer1_fwd, enc.layer1_bwd), (enc.layer2_fwd, enc.layer2_bwd)):
+            forward = run(fwd, layer)
+            backward = run(bwd, layer[::-1])[::-1]  # state i has read words i..n-1
+            layer = [np.concatenate([f, b]) for f, b in zip(forward, backward)]
+        encoded = enc.encode(words)
+        assert len(encoded) == len(words)
+        for position, (got, expected) in enumerate(zip(encoded, layer)):
+            assert np.allclose(got.value, expected), position
+
     def test_word_dropout_replaces_rare_words(self):
         enc, _ = make_encoder(UnitConfig(0, 0, 4, 4), CORPUS)
 

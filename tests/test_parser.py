@@ -287,6 +287,12 @@ class TestTraining:
         with pytest.raises(MalformedTreeError, match="sentence 1 .*head out of range"):
             train([out_of_range], None, TOY_CONFIG, TrainSettings(epochs=1))
 
+    def test_unlabeled_token_rejected_before_training(self):
+        good = ConlluSentence([Token("a", 0, "root"), Token("b", 1, "d")])
+        unlabeled = ConlluSentence([Token("a", 0, "root"), Token("b", 1, None)])
+        with pytest.raises(MalformedTreeError, match="sentence 2 is not a tree: missing label"):
+            train([good, unlabeled], None, TOY_CONFIG, TrainSettings(epochs=1))
+
     def test_history_reports_gradient_norms(self, toy_treebank_path_module):
         sentences = read_conllu(toy_treebank_path_module)
         settings = TrainSettings(epochs=2, seed=9, learning_rate=0.01, hidden_dim=8)
