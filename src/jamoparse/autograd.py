@@ -5,8 +5,10 @@ down afterwards; only Parameter gradients survive a backward() call. A
 backward closure never holds its own output node, so a graph has no
 reference cycles and is freed by reference counting as soon as it is
 dropped, without waiting for Python's cyclic garbage collector.
-Vectors are 1-d arrays, weight matrices 2-d, scalars 0-d. A graph is
-single-threaded; a finished parameter set may be shared read-only.
+Vectors are 1-d arrays, weight matrices 2-d, scalars 0-d; a sequence node
+(see :func:`stack`) holds a 2-d ``(T, d)`` value, one row per position.
+A graph is single-threaded; a finished parameter set may be shared
+read-only.
 """
 from __future__ import annotations
 
@@ -136,11 +138,21 @@ def tanh(a: Node) -> Node:
     return out
 
 
+def logistic(x: np.ndarray) -> np.ndarray:
+    """Elementwise ``1 / (1 + exp(-x))`` on a plain array.
+
+    ``exp`` only ever sees ``-|x|``, so it cannot overflow: the result is
+    ``1 / (1 + e)`` where ``x >= 0`` and ``e / (1 + e)`` elsewhere.
+    """
+    e = np.exp(-np.abs(x))
+    value = np.maximum(e, x >= 0)  # 1 where x >= 0 (there e <= 1), else e
+    e += 1.0
+    value /= e
+    return value
+
+
 def sigmoid(a: Node) -> Node:
-    x = a.value
-    # branch keeps exp() off large positive arguments
-    val = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
-                   np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
+    val = logistic(a.value)
     out = Node(val, (a,))
 
     def backward_fn(grad):
@@ -216,12 +228,29 @@ def row(table: Node, index: int) -> Node:
     return out
 
 
-def pick(a: Node, index: int) -> Node:
-    """Single element of a vector, as a 0-d node."""
+def pick(a: Node, index) -> Node:
+    """``a.value[index]`` for a basic numpy index.
+
+    One element of a vector gives a 0-d node; ``(t, slice(...))`` reads part
+    of row ``t`` of a sequence node.
+    """
     out = Node(a.value[index], (a,))
 
     def backward_fn(grad):
         _add_at(a, index, grad)
+
+    out.backward_fn = backward_fn
+    return out
+
+
+def stack(parts: Sequence[Node]) -> Node:
+    """Same-sized vectors as the rows of one sequence node."""
+    parts = tuple(parts)
+    out = Node(np.stack([p.value for p in parts]), parts)
+
+    def backward_fn(grad):
+        for part, part_grad in zip(parts, grad):
+            _accumulate(part, part_grad)
 
     out.backward_fn = backward_fn
     return out

@@ -69,11 +69,13 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
 def cmd_train(args) -> int:
     train_sentences = data.read_conllu(args.train_path)
-    for issue in data.validate_treebank(train_sentences):
-        print("warning: %s" % issue, file=sys.stderr)
     usable = []
     skipped: Counter = Counter()
-    for sentence in train_sentences:
+    for num, sentence in enumerate(train_sentences, start=1):
+        warning = data.root_count_warning(sentence)
+        if warning is not None:
+            print("warning: sentence %d: %s" % (num, warning), file=sys.stderr)
+        # a sentence check_tree rejects is reported once, in the skip counts below
         reason = data.check_tree(sentence)
         if reason is None and not data.is_projective(sentence):
             reason = "non-projective"

@@ -4,7 +4,6 @@ from __future__ import annotations
 import unicodedata
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import combinations
 
 import numpy as np
 
@@ -103,29 +102,37 @@ def write_conllu(sentences: list[ConlluSentence], path) -> None:
 
 
 def validate_treebank(sentences: list[ConlluSentence]) -> list[str]:
-    """Report (not raise) check_tree failures, as "sentence N: <reason>", and odd root counts."""
+    """Report (not raise) check_tree failures and odd root counts, as "sentence N: <issue>"."""
     issues = []
     for num, sentence in enumerate(sentences, start=1):
-        problem = check_tree(sentence)
-        if problem is not None:
-            issues.append("sentence %d: %s" % (num, problem))
-        roots = sum(t.head == 0 for t in sentence.tokens)
-        if roots != 1 and any(t.head is not None for t in sentence.tokens):
-            issues.append("sentence %d: %d tokens attached to root" % (num, roots))
+        for issue in (check_tree(sentence), root_count_warning(sentence)):
+            if issue is not None:
+                issues.append("sentence %d: %s" % (num, issue))
     return issues
+
+
+def root_count_warning(sentence: ConlluSentence) -> str | None:
+    """"K tokens attached to root" when an annotated sentence has K != 1 root attachments."""
+    roots = sum(t.head == 0 for t in sentence.tokens)
+    if roots != 1 and any(t.head is not None for t in sentence.tokens):
+        return "%d tokens attached to root" % roots
+    return None
 
 
 def check_tree(sentence: ConlluSentence) -> str | None:
     """Why the gold annotation is not a labeled tree under the root, or None if it is.
 
-    The reason is one of "missing head", "head out of range" (outside
-    0..n), "self-loop", "missing label" and "cycle" (some token does not
-    reach the root). Several tokens may attach to the root: the arc-hybrid
-    system builds such trees, and :func:`validate_treebank` warns about them.
+    The reason is one of "empty form" (a token with no spelling, which no
+    tier can encode), "missing head", "head out of range" (outside 0..n),
+    "self-loop", "missing label" and "cycle" (some token does not reach the
+    root). Several tokens may attach to the root: the arc-hybrid system
+    builds such trees, and :func:`validate_treebank` warns about them.
     """
     heads = [None] + [t.head for t in sentence.tokens]
     n = len(sentence)
     for pos in range(1, n + 1):
+        if not sentence.tokens[pos - 1].form:
+            return "empty form"
         if heads[pos] is None:
             return "missing head"
         if not 0 <= heads[pos] <= n:
@@ -151,15 +158,38 @@ def check_tree(sentence: ConlluSentence) -> str | None:
 
 
 def is_projective(sentence: ConlluSentence) -> bool:
-    """True iff no two arcs cross (root arcs included, root at position 0)."""
+    """True iff no two arcs cross (root arcs included, root at position 0).
+
+    Arcs are visited by left end, and among equal left ends longest first,
+    against a stack of the right ends of the arcs still open. While nothing
+    crosses, the open arcs nest, so a new arc crosses an earlier one iff it
+    ends beyond the innermost open arc. With every head in 0..n the visiting
+    order comes from a bucket sort, so the check takes linear time.
+    """
+    n = len(sentence)
     arcs = []
     for pos, token in enumerate(sentence.tokens, start=1):
         if token.head is None:
             raise ValueError("projectivity needs gold heads")
         arcs.append((min(token.head, pos), max(token.head, pos)))
-    for (lo1, hi1), (lo2, hi2) in combinations(arcs, 2):
-        if lo1 < lo2 < hi1 < hi2 or lo2 < lo1 < hi2 < hi1:
+    if all(0 <= lo and hi <= n for lo, hi in arcs):
+        by_end: list[list[int]] = [[] for _ in range(n + 1)]
+        for lo, hi in arcs:
+            by_end[hi].append(lo)
+        by_start: list[list[int]] = [[] for _ in range(n + 1)]
+        for hi in range(n, -1, -1):
+            for lo in by_end[hi]:
+                by_start[lo].append(hi)
+        ordered = [(lo, hi) for lo in range(n + 1) for hi in by_start[lo]]
+    else:  # heads outside the sentence: no tree, but the same definition
+        ordered = sorted(arcs, key=lambda arc: (arc[0], -arc[1]))
+    open_ends: list[int] = []
+    for lo, hi in ordered:
+        while open_ends and open_ends[-1] <= lo:
+            open_ends.pop()
+        if open_ends and open_ends[-1] < hi:
             return False
+        open_ends.append(hi)
     return True
 
 

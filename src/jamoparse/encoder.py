@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import hangul
-from .autograd import Node, affine_tanh, concat, row
+from .autograd import Node, affine_tanh, concat, pick, row, stack
 from .nn import LSTMCell, ParameterStore, bilstm
 from .vocab import UNK, Vocabulary
 
@@ -141,10 +141,12 @@ class SentenceEncoder:
             return Node(np.zeros(0, dtype=self.store.dtype))
         if not word:
             raise ValueError("cannot encode an empty word")
-        forward, backward = bilstm(self.char_fwd, self.char_bwd,
-                                   [self._char_input(c) for c in word])
-        return affine_tanh([(self.char_out, concat([forward[-1], backward[0]]))],
-                           self.char_out_bias)
+        states = bilstm(self.char_fwd, self.char_bwd,
+                        stack([self._char_input(c) for c in word]))
+        n = self.config.composed_dim
+        # the forward direction's last state and the backward direction's first
+        ends = concat([pick(states, (-1, slice(None, n))), pick(states, (0, slice(n, None)))])
+        return affine_tanh([(self.char_out, ends)], self.char_out_bias)
 
     def _word_id(self, word: str, training: bool, rng) -> int:
         idx = self.word_vocab.id_of(word)
@@ -162,15 +164,15 @@ class SentenceEncoder:
         """
         if not words:
             raise ValueError("cannot encode an empty sentence")
-        sequence = []
+        inputs = []
         for word in words:
             parts = []
             if self.config.uses_chars:
                 parts.append(self.word_repr(word))
             if self.config.dim_word > 0:
                 parts.append(row(self.word_emb, self._word_id(word, training, rng)))
-            sequence.append(parts[0] if len(parts) == 1 else concat(parts))
+            inputs.append(parts[0] if len(parts) == 1 else concat(parts))
+        sequence = stack(inputs)
         for fwd, bwd in ((self.layer1_fwd, self.layer1_bwd), (self.layer2_fwd, self.layer2_bwd)):
-            forward, backward = bilstm(fwd, bwd, sequence)
-            sequence = [concat([f, b]) for f, b in zip(forward, backward)]
-        return sequence
+            sequence = bilstm(fwd, bwd, sequence)
+        return [row(sequence, i) for i in range(len(words))]

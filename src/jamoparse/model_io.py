@@ -108,6 +108,56 @@ def save_model(model: TrainedModel, path) -> None:
         handle.write(hashlib.sha256(body).digest())
 
 
+def _is_int(value, minimum: int) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= minimum
+
+
+def _check_header(header) -> None:
+    """Raise CorruptModelError, naming the field, unless every header field has its type.
+
+    The checksum only proves the file is as written; this keeps a header
+    that was rewritten with a fresh digest from reaching the model code as
+    a TypeError.
+    """
+    def require(ok: bool, field: str, expected: str) -> None:
+        if not ok:
+            raise CorruptModelError("header field %r must be %s" % (field, expected))
+
+    require(isinstance(header, dict), "header", "an object")
+    for field in ("config", "hidden_dim", "seed", "vocabularies", "parameters"):
+        require(field in header, field, "present")
+    config = header["config"]
+    require(isinstance(config, dict) and sorted(config) == sorted(UnitConfig().to_dict())
+            and all(_is_int(v, 0) for v in config.values()),
+            "config", "four non-negative ints")
+    require(_is_int(header["hidden_dim"], 1), "hidden_dim", "a positive int")
+    require(_is_int(header["seed"], 0), "seed", "a non-negative int")
+    vocabularies = header["vocabularies"]
+    require(isinstance(vocabularies, dict)
+            and sorted(vocabularies) == ["char", "jamo", "label", "word"],
+            "vocabularies", "an object with jamo, char, word and label entries")
+    for kind, payload in vocabularies.items():
+        field = "vocabularies.%s" % kind
+        require(isinstance(payload, dict) and payload.get("kind") == kind, field,
+                "an object of kind %r" % kind)
+        tokens, counts = payload.get("tokens"), payload.get("counts", {})
+        require(isinstance(tokens, list) and all(isinstance(t, str) for t in tokens),
+                field + ".tokens", "a list of strings")
+        require(isinstance(counts, dict) and all(_is_int(c, 0) for c in counts.values()),
+                field + ".counts", "an object of non-negative ints")
+    manifest = header["parameters"]
+    require(isinstance(manifest, list), "parameters", "a list")
+    for i, entry in enumerate(manifest):
+        field = "parameters[%d]" % i
+        require(isinstance(entry, dict), field, "an object")
+        require(isinstance(entry.get("name"), str), field + ".name", "a string")
+        shape = entry.get("shape")
+        require(isinstance(shape, list) and all(_is_int(d, 0) for d in shape),
+                field + ".shape", "a list of non-negative ints")
+        require(entry.get("dtype") in ("float32", "float64"), field + ".dtype",
+                "float32 or float64")
+
+
 def load_model(path) -> TrainedModel:
     with open(path, "rb") as handle:
         blob = handle.read()
@@ -144,6 +194,7 @@ def load_model(path) -> TrainedModel:
     except (ValueError, UnicodeDecodeError):
         raise CorruptModelError("unreadable header") from None
     cursor += header_len
+    _check_header(header)
 
     config = UnitConfig.from_dict(header["config"])
     vocabs = {kind: Vocabulary.from_dict(payload)
@@ -166,4 +217,8 @@ def load_model(path) -> TrainedModel:
     # binding the encoder and scorer re-checks every shape against the vocabularies
     _ = model.encoder
     _ = model.scorer
+    # and would create, with a fresh initialisation, any parameter the file lacks
+    created = store.names()[len(header["parameters"]):]
+    if created:
+        raise CorruptModelError("model file lacks parameter(s) %s" % ", ".join(created))
     return model

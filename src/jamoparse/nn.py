@@ -7,8 +7,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .autograd import (Node, Parameter, ShapeMismatchError, add, affine, concat, mul,
-                       sigmoid, tanh, vslice)
+from .autograd import Node, Parameter, ShapeMismatchError, _accumulate, logistic
 
 
 class ParameterStore:
@@ -106,7 +105,9 @@ class LSTMCell:
     """Standard LSTM update: input/forget/cell/output gates over [x; h].
 
     One fused weight matrix of shape (4*hidden, input+hidden) plus a bias;
-    gate blocks are ordered input, forget, cell candidate, output.
+    gate blocks are ordered input, forget, cell candidate, output. The
+    first ``input_dim`` columns act on the input, the rest on the previous
+    hidden state. Sequences run through :func:`bilstm`.
     """
 
     def __init__(self, store: ParameterStore, prefix: str, input_dim: int, hidden_dim: int):
@@ -114,47 +115,112 @@ class LSTMCell:
         self.hidden_dim = hidden_dim
         self.weights = store.matrix(prefix + "/W", 4 * hidden_dim, input_dim + hidden_dim)
         self.bias = store.vector(prefix + "/b", 4 * hidden_dim)
-        self._dtype = store.dtype
+        self.dtype = store.dtype
 
-    def initial_state(self) -> tuple[Node, Node]:
-        zeros = np.zeros(self.hidden_dim, dtype=self._dtype)
-        return Node(zeros), Node(zeros.copy())
+    def step(self, gates_x: np.ndarray, hidden: np.ndarray, memory: np.ndarray):
+        """One time step on plain arrays; builds no graph node.
 
-    def step(self, x: Node, state: tuple[Node, Node]) -> tuple[Node, Node]:
-        hidden, memory = state
-        if x.value.shape != (self.input_dim,):
-            raise ShapeMismatchError(
-                "lstm input has shape %s, expected (%d,)" % (x.value.shape, self.input_dim))
-        if hidden.value.shape != (self.hidden_dim,):
-            raise ShapeMismatchError(
-                "lstm state has shape %s, expected (%d,)" % (hidden.value.shape, self.hidden_dim))
-        gates = affine([(self.weights, concat([x, hidden]))], self.bias)
-        h = self.hidden_dim
-        gate_in = sigmoid(vslice(gates, 0, h))
-        gate_forget = sigmoid(vslice(gates, h, 2 * h))
-        candidate = tanh(vslice(gates, 2 * h, 3 * h))
-        gate_out = sigmoid(vslice(gates, 3 * h, 4 * h))
-        new_memory = add(mul(gate_forget, memory), mul(gate_in, candidate))
-        new_hidden = mul(gate_out, tanh(new_memory))
-        return new_hidden, new_memory
+        ``gates_x`` is this step's input projection plus the bias (4*hidden
+        values). Returns the activated gates, the new hidden state and the
+        new memory.
+        """
+        pre = self.weights.value[:, self.input_dim:] @ hidden
+        pre += gates_x
+        gates = logistic(pre)
+        n = self.hidden_dim
+        np.tanh(pre[2 * n:3 * n], out=gates[2 * n:3 * n])
+        gate_in, gate_forget, candidate, gate_out = gates.reshape(4, n)
+        memory = gate_forget * memory
+        memory += gate_in * candidate
+        return gates, gate_out * np.tanh(memory), memory
 
 
-def bilstm(fwd: LSTMCell, bwd: LSTMCell, inputs: list[Node]) -> tuple[list[Node], list[Node]]:
-    """Hidden states of ``fwd`` run left to right and ``bwd`` right to left.
+def bilstm(fwd: LSTMCell, bwd: LSTMCell, inputs: Node) -> Node:
+    """Both directions of a BiLSTM over the rows of ``inputs``, as one node.
 
-    Both lists are in input order: ``forward[i]`` has read ``inputs[:i + 1]``
-    and ``backward[i]`` has read ``inputs[i:]``.
+    Row i of the (T, fwd.hidden_dim + bwd.hidden_dim) value is ``fwd``'s
+    hidden state after reading rows 0..i, then ``bwd``'s after reading rows
+    T-1..i. Each direction projects every input row with one GEMM and calls
+    :meth:`LSTMCell.step` once per row; the backward pass runs
+    backpropagation through time on arrays and accumulates each weight
+    gradient with one GEMM per sequence.
     """
-    return _hidden_states(fwd, inputs), _hidden_states(bwd, inputs[::-1])[::-1]
+    x = inputs.value
+    for cell in (fwd, bwd):
+        if x.ndim != 2 or x.shape[1] != cell.input_dim:
+            raise ShapeMismatchError(
+                "lstm input has shape %s, expected (T, %d)" % (x.shape, cell.input_dim))
+    ahead = _lstm_forward(fwd, x)
+    behind = _lstm_forward(bwd, x[::-1])
+    # hidden states after each step; the backward direction's back in input order
+    value = np.concatenate([ahead[1][1:], behind[1][:0:-1]], axis=1)
+    out = Node(value, (inputs, fwd.weights, fwd.bias, bwd.weights, bwd.bias))
+    split = fwd.hidden_dim
+
+    def backward_fn(grad):
+        d_x = _lstm_backward(fwd, x, *ahead, grad[:, :split])
+        d_x += _lstm_backward(bwd, x[::-1], *behind, grad[::-1, split:])[::-1]
+        _accumulate(inputs, d_x)
+
+    out.backward_fn = backward_fn
+    return out
 
 
-def _hidden_states(cell: LSTMCell, inputs: list[Node]) -> list[Node]:
-    states = []
-    state = cell.initial_state()
-    for x in inputs:
-        state = cell.step(x, state)
-        states.append(state[0])
-    return states
+def _lstm_forward(cell: LSTMCell, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One direction over the rows of ``x``.
+
+    Returns the activated gates, shape (T, 4, hidden), then the hidden and
+    the memory states, each of shape (T + 1, hidden) with the zero state in
+    row 0.
+    """
+    steps, n = x.shape[0], cell.hidden_dim
+    gates_x = x @ cell.weights.value[:, :cell.input_dim].T
+    gates_x += cell.bias.value
+    gates = np.empty((steps, 4 * n), dtype=cell.dtype)
+    states = np.zeros((2, steps + 1, n), dtype=cell.dtype)
+    hiddens, memories = states
+    hidden, memory = hiddens[0], memories[0]
+    step = cell.step
+    for t in range(steps):
+        gates[t], hidden, memory = step(gates_x[t], hidden, memory)
+        hiddens[t + 1] = hidden
+        memories[t + 1] = memory
+    return gates.reshape(steps, 4, n), hiddens, memories
+
+
+def _lstm_backward(cell: LSTMCell, x: np.ndarray, gates: np.ndarray, hiddens: np.ndarray,
+                   memories: np.ndarray, d_hidden: np.ndarray) -> np.ndarray:
+    """Backpropagation through time for one direction of :func:`bilstm`.
+
+    ``d_hidden`` is the gradient of every hidden state, in the order the
+    cell read ``x``. Adds the weight and bias gradients to the cell's
+    parameters and returns the gradient of ``x``.
+    """
+    steps, n = d_hidden.shape
+    gate_in, gate_forget, candidate, gate_out = gates.transpose(1, 0, 2)
+    tanh_memory = np.tanh(memories[1:])
+    # d pre-activation = slope * (d memory for the first three gates, d hidden for the last)
+    slope = gates * (1.0 - gates)
+    slope[:, 2] = 1.0 - candidate * candidate
+    slope *= np.stack([candidate, memories[:-1], gate_in, tanh_memory], axis=1)
+    through_tanh = gate_out * (1.0 - tanh_memory * tanh_memory)
+    recurrent = cell.weights.value[:, cell.input_dim:]
+    d_gates = np.empty_like(gates)
+    d_h = d_hidden[-1]
+    d_c = d_h * through_tanh[-1]
+    for t in range(steps - 1, -1, -1):
+        np.multiply(slope[t, :3], d_c, out=d_gates[t, :3])
+        np.multiply(slope[t, 3], d_h, out=d_gates[t, 3])
+        if t == 0:
+            break
+        d_h = d_gates[t].reshape(4 * n) @ recurrent
+        d_h += d_hidden[t - 1]
+        d_c *= gate_forget[t]
+        d_c += d_h * through_tanh[t - 1]
+    d_gates = d_gates.reshape(steps, 4 * n)
+    _accumulate(cell.weights, d_gates.T @ np.concatenate([x, hiddens[:-1]], axis=1))
+    _accumulate(cell.bias, d_gates.sum(axis=0))
+    return d_gates @ cell.weights.value[:, :cell.input_dim]
 
 
 def touched_rows(param: Parameter) -> np.ndarray:

@@ -18,13 +18,13 @@ import pytest
 from jamoparse import hangul
 from jamoparse import transition as T
 from jamoparse.autograd import (add, add_n, affine, affine_tanh, concat, matvec, mul, pick,
-                                row, scale, sigmoid, sub, tanh, vslice, vsum)
+                                row, scale, sigmoid, stack, sub, tanh, vslice, vsum)
 from jamoparse.cli import decompose_lines
 from jamoparse.data import (ConlluSentence, Token, build_vocabularies, evaluate,
                             is_projective, read_conllu)
 from jamoparse.encoder import SentenceEncoder, UnitConfig
 from jamoparse.model_io import TrainedModel
-from jamoparse.nn import LSTMCell, ParameterStore
+from jamoparse.nn import LSTMCell, ParameterStore, bilstm
 from jamoparse.parser import TrainSettings, TransitionScorer, greedy_parse, train
 from jamoparse.vocab import Vocabulary
 
@@ -118,20 +118,18 @@ def _per_operation_gradient_suite():
     ]
     for build, params in cases:
         assert_gradients_match(build, params, rel_tol=1e-4, step=1e-5)
-    # lstm step
+    # bilstm over two steps
     store = ParameterStore(seed=1)
     cell = LSTMCell(store, "cell", 3, 2)
+    back = LSTMCell(store, "back", 3, 2)
     x1 = P("x1", rng.normal(size=3))
     x2 = P("x2", rng.normal(size=3))
 
     def lstm_build():
-        state = cell.initial_state()
-        state = cell.step(x1, state)
-        state = cell.step(x2, state)
-        return vsum(state[0])
+        return vsum(bilstm(cell, back, stack([x1, x2])))
 
-    assert_gradients_match(lstm_build, [cell.weights, cell.bias, x1, x2],
-                           rel_tol=1e-4, step=1e-5)
+    assert_gradients_match(lstm_build, [cell.weights, cell.bias, back.weights, back.bias,
+                                        x1, x2], rel_tol=1e-4, step=1e-5)
 
 
 def _full_stack_gradient_check():

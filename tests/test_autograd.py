@@ -5,8 +5,8 @@ import pytest
 
 from jamoparse.autograd import (Parameter, ShapeMismatchError, add, add_n, affine,
                                 affine_tanh, backward, concat, constant, matvec, mul, pick,
-                                row, scale, sigmoid, sub, tanh, vslice, vsum)
-from jamoparse.nn import Adam, LSTMCell, ParameterStore, Sgd, clip_gradients
+                                row, scale, sigmoid, stack, sub, tanh, vslice, vsum)
+from jamoparse.nn import Adam, LSTMCell, ParameterStore, Sgd, bilstm, clip_gradients
 
 from conftest import assert_gradients_match
 
@@ -139,18 +139,17 @@ def test_dropped_graph_leaves_no_reference_cycles():
     # graphs must be freed by reference counting, not by the cyclic collector
     store = ParameterStore(seed=0)
     cell = LSTMCell(store, "cell", 3, 2)
+    back = LSTMCell(store, "back", 3, 2)
     table = store.embedding("emb", 4, 3)
-    w, b = store.matrix("w", 2, 3), store.vector("b", 2)
+    w, b = store.matrix("w", 4, 3), store.vector("b", 4)
     gc.collect()
     gc.disable()
     try:
-        state = cell.initial_state()
-        for index in (0, 2, 0):
-            state = cell.step(row(table, index), state)
+        states = bilstm(cell, back, stack([row(table, index) for index in (0, 2, 0)]))
         out = affine_tanh([(w, row(table, 1))], b)
-        loss = vsum(mul(tanh(sigmoid(add(state[0], out))), state[1]))
+        loss = vsum(mul(tanh(sigmoid(add(row(states, -1), out))), row(states, 0)))
         backward(loss)
-        del state, out, loss
+        del states, out, loss
         assert gc.collect() == 0
     finally:
         gc.enable()
@@ -162,9 +161,11 @@ class TestLSTM:
         cell = LSTMCell(store, "cell", 3, 2)
         cell.weights.value.fill(0.0)
         cell.bias.value.fill(0.0)
-        h, c = cell.step(constant([5.0, -1.0, 2.0]), cell.initial_state())
-        assert np.array_equal(h.value, np.zeros(2))
-        assert np.array_equal(c.value, np.zeros(2))
+        states = bilstm(cell, cell, constant([[5.0, -1.0, 2.0]]))
+        assert np.array_equal(states.value, np.zeros((1, 4)))
+        _, h, c = cell.step(np.zeros(8), np.zeros(2), np.zeros(2))
+        assert np.array_equal(h, np.zeros(2))
+        assert np.array_equal(c, np.zeros(2))
 
     def test_matches_gate_by_gate_oracle(self):
         # fixed 2-dim weights; oracle is an independent gate-by-gate evaluation
@@ -189,38 +190,33 @@ class TestLSTM:
         c_expected = f * c0 + i * g
         h_expected = o * np.tanh(c_expected)
 
-        h, c = cell.step(constant(x), (constant(h0), constant(c0)))
-        assert np.allclose(h.value, h_expected)
-        assert np.allclose(c.value, c_expected)
+        # the step kernel takes the input projection plus bias precomputed
+        _, h, c = cell.step(weights[:, :2] @ x + bias, h0, c0)
+        assert np.allclose(h, h_expected)
+        assert np.allclose(c, c_expected)
 
     def test_repeated_steps_stay_bounded(self):
         store = ParameterStore(seed=5)
         cell = LSTMCell(store, "cell", 2, 3)
-        state = cell.initial_state()
-        x = constant([0.7, -0.4])
-        for _ in range(200):
-            state = cell.step(x, state)
-        assert np.all(np.abs(state[0].value) < 1.0)
+        states = bilstm(cell, cell, constant(np.tile([0.7, -0.4], (200, 1))))
+        assert np.all(np.abs(states.value) < 1.0)
 
     def test_input_shape_mismatch(self):
         store = ParameterStore(seed=0)
         cell = LSTMCell(store, "cell", 3, 2)
         with pytest.raises(ShapeMismatchError):
-            cell.step(constant([1.0, 2.0]), cell.initial_state())
+            bilstm(cell, cell, constant([[1.0, 2.0]]))
 
     def test_gradients_through_two_steps(self):
         store = ParameterStore(seed=9)
         cell = LSTMCell(store, "cell", 2, 2)
-        x1 = constant([0.3, -0.5])
-        x2 = constant([-0.2, 0.8])
+        back = LSTMCell(store, "back", 2, 2)
+        x = param("x", [[0.3, -0.5], [-0.2, 0.8]])
 
         def build():
-            state = cell.initial_state()
-            state = cell.step(x1, state)
-            state = cell.step(x2, state)
-            return vsum(state[0])
+            return vsum(bilstm(cell, back, x))
 
-        assert_gradients_match(build, [cell.weights, cell.bias])
+        assert_gradients_match(build, [cell.weights, cell.bias, back.weights, back.bias, x])
 
 
 class TestParameterStore:

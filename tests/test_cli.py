@@ -1,4 +1,6 @@
 # -*- coding: utf-8 -*-
+import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -191,6 +193,9 @@ CYCLE = conllu_rows(("나는", 2, "nsubj"), ("갔다", 1, "dep"), ("집에", 0, 
 HEAD_OUT_OF_RANGE = conllu_rows(("나는", 9, "nsubj"), ("갔다", 0, "root"))
 GOOD = conllu_rows(("나는", 2, "nsubj"), ("갔다", 0, "root"))
 MISSING_LABEL = conllu_rows(("나는", 2, "_"), ("갔다", 0, "root"))
+EMPTY_FORM = conllu_rows(("", 2, "nsubj"), ("갔다", 0, "root"))
+TINY_DIMS = ("--dim-jamo", "4", "--dim-char", "0", "--dim-word", "4", "--dim-encoder", "8",
+             "--hidden-dim", "4")
 
 
 def run_cli_process(*argv):
@@ -205,7 +210,8 @@ def run_cli_process(*argv):
 class TestMalformedTrainingTrees:
     @pytest.mark.parametrize("text,reason", [(CYCLE, "cycle"),
                                              (HEAD_OUT_OF_RANGE, "head out of range"),
-                                             (MISSING_LABEL, "missing label")])
+                                             (MISSING_LABEL, "missing label"),
+                                             (EMPTY_FORM, "empty form")])
     def test_bad_file_exits_1_without_traceback(self, tmp_path, text, reason):
         path = tmp_path / "bad.conllu"
         path.write_text(text, encoding="utf-8")
@@ -245,6 +251,122 @@ class TestMalformedTrainingTrees:
         assert "skipping 1 malformed training sentence(s): missing label" in err
         assert out.startswith("epoch=1 loss=")
         assert (tmp_path / "m.model").exists()
+
+
+    @pytest.mark.parametrize("text,reason", [(CYCLE, "cycle"),
+                                             (HEAD_OUT_OF_RANGE, "head out of range"),
+                                             (MISSING_LABEL, "missing label"),
+                                             (EMPTY_FORM, "empty form")],
+                             ids=["cycle", "head-out-of-range", "missing-label", "empty-form"])
+    def test_skipped_sentence_is_reported_once(self, tmp_path, capsys, text, reason):
+        path = tmp_path / "three.conllu"
+        path.write_text(GOOD + text + GOOD, encoding="utf-8")
+        code, out, err = run_cli(capsys, "train", "--train", str(path),
+                                 "--model", str(tmp_path / "m.model"), *TINY_DIMS,
+                                 "--epochs", "1")
+        assert code == 0
+        assert err.count(reason) == 1, err
+        assert "skipping 1 malformed training sentence(s): %s" % reason in err
+        assert (tmp_path / "m.model").exists()
+
+    def test_root_count_warning_is_kept(self, tmp_path, capsys):
+        path = tmp_path / "two_roots.conllu"
+        path.write_text(GOOD + conllu_rows(("나는", 0, "root"), ("갔다", 0, "root")),
+                        encoding="utf-8")
+        code, _, err = run_cli(capsys, "train", "--train", str(path),
+                               "--model", str(tmp_path / "m.model"), *TINY_DIMS,
+                               "--epochs", "1")
+        assert code == 0
+        assert err.count("sentence 2: 2 tokens attached to root") == 1, err
+
+
+def rewrite_header(path, edit):
+    """Apply ``edit`` to a model file's JSON header and write a matching digest."""
+    blob = path.read_bytes()
+    magic_end = blob.index(b"\n") + 1
+    length_end = blob.index(b"\n", magic_end) + 1
+    header_len = int(blob[magic_end:length_end])
+    header = json.loads(blob[length_end:length_end + header_len])
+    edit(header)
+    new_header = json.dumps(header).encode("utf-8")
+    body = (blob[:magic_end] + b"%d\n" % len(new_header) + new_header
+            + blob[length_end + header_len:-32])
+    path.write_bytes(body + hashlib.sha256(body).digest())
+
+
+def set_field(*keys_and_value):
+    *keys, value = keys_and_value
+
+    def edit(header):
+        target = header
+        for key in keys[:-1]:
+            target = target[key]
+        target[keys[-1]] = value
+    return edit
+
+
+@pytest.fixture(scope="module")
+def tiny_model(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("tiny")
+    treebank = tmp / "train.conllu"
+    treebank.write_text(GOOD + GOOD, encoding="utf-8")
+    model = tmp / "m.model"
+    assert main(["train", "--train", str(treebank), "--model", str(model), *TINY_DIMS,
+                 "--epochs", "1"]) == 0
+    return model
+
+
+class TestModelHeaderTypes:
+    @pytest.mark.parametrize("edit,field", [
+        (set_field("seed", "abc"), "seed"),
+        (set_field("seed", -1), "seed"),
+        (set_field("config", [1]), "config"),
+        (set_field("config", "dim_word", 2.5), "config"),
+        (set_field("hidden_dim", "x"), "hidden_dim"),
+        (set_field("hidden_dim", 0), "hidden_dim"),
+        (set_field("vocabularies", [1]), "vocabularies"),
+        (set_field("vocabularies", "word", "tokens", [1, 2]), "vocabularies.word.tokens"),
+        (set_field("vocabularies", "label", "counts", {"root": "many"}),
+         "vocabularies.label.counts"),
+        (set_field("parameters", 0, "name", 5), "parameters[0].name"),
+        (set_field("parameters", 0, "shape", [-1]), "parameters[0].shape"),
+        (set_field("parameters", 1, "shape", "4"), "parameters[1].shape"),
+        (set_field("parameters", 0, "dtype", "int8"), "parameters[0].dtype"),
+        (lambda header: header.pop("seed"), "seed"),
+    ])
+    def test_bad_header_type_exits_1_without_traceback(self, tmp_path, tiny_model, edit, field):
+        model = tmp_path / "edited.model"
+        model.write_bytes(tiny_model.read_bytes())
+        rewrite_header(model, edit)
+        text = tmp_path / "in.conllu"
+        text.write_text(GOOD, encoding="utf-8")
+        proc = run_cli_process("parse", "--model", str(model), "--input", str(text),
+                               "--output", str(tmp_path / "out.conllu"))
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert "header field %r" % field in proc.stderr
+
+    def test_renamed_parameter_is_not_replaced_by_a_fresh_one(self, tmp_path, tiny_model):
+        model = tmp_path / "renamed.model"
+        model.write_bytes(tiny_model.read_bytes())
+        rewrite_header(model, set_field("parameters", -1, "name", "renamed"))
+        text = tmp_path / "in.conllu"
+        text.write_text(GOOD, encoding="utf-8")
+        proc = run_cli_process("parse", "--model", str(model), "--input", str(text),
+                               "--output", str(tmp_path / "out.conllu"))
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert "lacks parameter(s) scorer/b2" in proc.stderr
+        assert not (tmp_path / "out.conllu").exists()
+
+    def test_untouched_header_round_trip_still_parses(self, tmp_path, tiny_model):
+        model = tmp_path / "same.model"
+        model.write_bytes(tiny_model.read_bytes())
+        rewrite_header(model, lambda header: None)
+        text = tmp_path / "in.conllu"
+        text.write_text(GOOD, encoding="utf-8")
+        assert main(["parse", "--model", str(model), "--input", str(text),
+                     "--output", str(tmp_path / "out.conllu")]) == 0
 
 
 @pytest.mark.parametrize("value", ["nan", "inf"])

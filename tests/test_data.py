@@ -1,6 +1,9 @@
 # -*- coding: utf-8 -*-
+from itertools import combinations
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from jamoparse import hangul
 from jamoparse.data import (AlignmentError, ConlluFormatError, ConlluSentence,
@@ -107,6 +110,20 @@ class TestProjectivity:
         assert not is_projective(s)
 
 
+    @settings(max_examples=400, deadline=None)
+    @given(st.integers(1, 12).flatmap(
+        lambda n: st.lists(st.integers(-2, n + 2), min_size=n, max_size=n)))
+    def test_matches_pairwise_definition(self, heads):
+        # heads may leave the sentence, loop or cycle: only the arcs matter
+        def pairwise(heads):
+            arcs = [(min(h, pos), max(h, pos)) for pos, h in enumerate(heads, start=1)]
+            return not any(lo1 < lo2 < hi1 < hi2 or lo2 < lo1 < hi2 < hi1
+                           for (lo1, hi1), (lo2, hi2) in combinations(arcs, 2))
+
+        s = sentence(*[("w", h, "d") for h in heads])
+        assert is_projective(s) is pairwise(heads)
+
+
 class TestCheckTree:
     def test_trees_pass(self):
         assert check_tree(sentence(("a", 0, "r"), ("b", 1, "d"), ("c", 2, "d"))) is None
@@ -137,6 +154,9 @@ class TestCheckTree:
 
     def test_missing_label(self):
         assert check_tree(sentence(("a", 0, "r"), ("b", 1, None))) == "missing label"
+
+    def test_empty_form(self):
+        assert check_tree(sentence(("a", 0, "r"), ("", 1, "d"))) == "empty form"
 
 
 class TestVocabularies:

@@ -6,7 +6,7 @@ from jamoparse import hangul
 from jamoparse.data import ConlluSentence, Token, build_vocabularies
 from jamoparse.encoder import SentenceEncoder, UnitConfig
 from jamoparse.nn import ParameterStore
-from jamoparse.autograd import vsum
+from jamoparse.autograd import add, backward, vsum
 from jamoparse.vocab import UNK
 
 from conftest import assert_gradients_match
@@ -292,3 +292,22 @@ def test_full_encoder_gradients_two_word_sentence():
 
     params = [p for _, p in store.parameters()]
     assert_gradients_match(build, params)
+
+
+def test_float32_store_keeps_encodings_and_gradients_float32():
+    jamo_v, char_v, word_v, _ = build_vocabularies(treebank_of(CORPUS))
+    store = ParameterStore(seed=2, dtype=np.float32)
+    enc = SentenceEncoder(store, UnitConfig(3, 2, 4, 6), jamo_v, char_v, word_v)
+    vectors = enc.encode(["나는", "산을", "갔다", "ab"])
+    for v in vectors:
+        assert v.value.dtype == np.float32
+    sentence_states = vectors[0].parents[0]  # the second layer's BiLSTM node
+    assert sentence_states.value.shape == (4, 6)
+    assert sentence_states.value.dtype == np.float32
+    total = vsum(vectors[0])
+    for v in vectors[1:]:
+        total = add(total, vsum(v))
+    backward(total)
+    for _, p in store.parameters():
+        assert p.grad.dtype == np.float32, p.name
+        assert np.any(p.grad != 0.0), p.name

@@ -293,6 +293,12 @@ class TestTraining:
         with pytest.raises(MalformedTreeError, match="sentence 2 is not a tree: missing label"):
             train([good, unlabeled], None, TOY_CONFIG, TrainSettings(epochs=1))
 
+    def test_empty_form_rejected_before_training(self):
+        good = ConlluSentence([Token("a", 0, "root"), Token("b", 1, "d")])
+        formless = ConlluSentence([Token("a", 0, "root"), Token("", 1, "d")])
+        with pytest.raises(MalformedTreeError, match="sentence 2 is not a tree: empty form"):
+            train([good, formless], None, TOY_CONFIG, TrainSettings(epochs=1))
+
     def test_history_reports_gradient_norms(self, toy_treebank_path_module):
         sentences = read_conllu(toy_treebank_path_module)
         settings = TrainSettings(epochs=2, seed=9, learning_rate=0.01, hidden_dim=8)
