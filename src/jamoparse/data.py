@@ -163,26 +163,14 @@ def is_projective(sentence: ConlluSentence) -> bool:
     Arcs are visited by left end, and among equal left ends longest first,
     against a stack of the right ends of the arcs still open. While nothing
     crosses, the open arcs nest, so a new arc crosses an earlier one iff it
-    ends beyond the innermost open arc. With every head in 0..n the visiting
-    order comes from a bucket sort, so the check takes linear time.
+    ends beyond the innermost open arc.
     """
-    n = len(sentence)
     arcs = []
     for pos, token in enumerate(sentence.tokens, start=1):
         if token.head is None:
             raise ValueError("projectivity needs gold heads")
         arcs.append((min(token.head, pos), max(token.head, pos)))
-    if all(0 <= lo and hi <= n for lo, hi in arcs):
-        by_end: list[list[int]] = [[] for _ in range(n + 1)]
-        for lo, hi in arcs:
-            by_end[hi].append(lo)
-        by_start: list[list[int]] = [[] for _ in range(n + 1)]
-        for hi in range(n, -1, -1):
-            for lo in by_end[hi]:
-                by_start[lo].append(hi)
-        ordered = [(lo, hi) for lo in range(n + 1) for hi in by_start[lo]]
-    else:  # heads outside the sentence: no tree, but the same definition
-        ordered = sorted(arcs, key=lambda arc: (arc[0], -arc[1]))
+    ordered = sorted(arcs, key=lambda arc: (arc[0], -arc[1]))
     open_ends: list[int] = []
     for lo, hi in ordered:
         while open_ends and open_ends[-1] <= lo:
