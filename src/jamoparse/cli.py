@@ -106,11 +106,21 @@ def cmd_train(args) -> int:
 
 
 def cmd_parse(args) -> int:
+    """Parse every sentence; one with an empty FORM is written unparsed and exits 1."""
     model = load_model(args.model)
     sentences = data.read_conllu(args.input, allow_missing_heads=True)
-    predicted = [model.parse_sentence(s.forms) for s in sentences]
+    predicted = []
+    status = 0
+    for num, sentence in enumerate(sentences, start=1):
+        if all(sentence.forms):
+            predicted.append(model.parse_sentence(sentence.forms))
+        else:
+            print("error: sentence %d: empty form" % num, file=sys.stderr)
+            predicted.append(data.ConlluSentence(
+                [data.Token(form, None, None) for form in sentence.forms]))
+            status = 1
     data.write_conllu(predicted, args.output)
-    return 0
+    return status
 
 
 def cmd_eval(args) -> int:

@@ -274,7 +274,7 @@ def read_embeddings(path, expected_dim: int | None = None) -> tuple[int, dict[st
                 raise EmbeddingFormatError("line %d: expected token and values" % lineno)
             token, values = parts[0], parts[1:]
             try:
-                vector = np.array([float(v) for v in values], dtype=np.float64)
+                vector = np.array(values, dtype=np.float64)
             except ValueError:
                 raise EmbeddingFormatError("line %d: non-numeric value" % lineno) from None
             if not np.isfinite(vector).all():

@@ -82,7 +82,8 @@ def decompose(char: str) -> JamoTriple | None:
     """Split one character into its jamo triple.
 
     Returns None for anything outside the syllable block; callers treat
-    such characters as atomic. Total function, never raises on str input.
+    such characters as atomic. Raises ValueError unless ``char`` is
+    exactly one character.
     """
     if len(char) != 1:
         raise ValueError("decompose expects a single character, got %r" % (char,))

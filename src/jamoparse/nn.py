@@ -84,12 +84,10 @@ class ParameterStore:
         return int(sum(p.value.size for p in self._params.values()))
 
     def zero_gradients(self) -> None:
-        """Clear every gradient; a row-tracked table clears its touched rows."""
+        """Clear every gradient where :func:`live_index` says it can be nonzero."""
         for param in self._params.values():
-            if param.rows is None:
-                param.grad.fill(0.0)
-            elif param.rows:
-                param.grad[touched_rows(param)] = 0.0
+            param.grad[live_index(param)] = 0.0
+            if param.rows:
                 param.rows.clear()
 
     def state_dict(self) -> dict[str, np.ndarray]:
@@ -223,8 +221,16 @@ def _lstm_backward(cell: LSTMCell, x: np.ndarray, gates: np.ndarray, hiddens: np
     return d_gates @ cell.weights.value[:, :cell.input_dim]
 
 
-def touched_rows(param: Parameter) -> np.ndarray:
-    """Sorted indices of the rows a row-tracked parameter has gradient in."""
+def live_index(param: Parameter):
+    """Where ``param.grad`` can be nonzero: ``...`` for a dense parameter,
+    the sorted touched rows of a row-tracked table.
+
+    Zero, clip, SGD and Adam read and write ``param.grad[live_index(param)]``
+    and the same entries of the value and the moments, so an update costs
+    the dense parameters plus the rows the sentence used.
+    """
+    if param.rows is None:
+        return ...
     return np.array(sorted(param.rows), dtype=np.intp)
 
 
@@ -236,11 +242,8 @@ class Sgd:
 
     def step(self, store: ParameterStore) -> None:
         for _, param in store.parameters():
-            if param.rows is None:
-                param.value -= self.learning_rate * param.grad
-            elif param.rows:
-                rows = touched_rows(param)
-                param.value[rows] -= self.learning_rate * param.grad[rows]
+            live = live_index(param)
+            param.value[live] -= self.learning_rate * param.grad[live]
         store.zero_gradients()
 
 
@@ -249,11 +252,10 @@ class Adam:
 
     Entries whose gradient is exactly zero are left untouched, so unused
     embedding rows never drift; the per-parameter step counter advances
-    only when that parameter receives gradient. A row-tracked table is
-    updated on its touched rows only, and a dense tensor whose gradient is
-    nonzero everywhere in place, so a step costs the dense parameters plus
-    the rows the sentence used. Every entry sees the same arithmetic as a
-    full masked sweep, so the results are bit-identical to one.
+    only when that parameter receives gradient. Each step reads and writes
+    the :func:`live_index` entries only. Every entry sees the same
+    arithmetic as a full sweep masked with ``grad != 0``, so the results are
+    bit-identical to one.
     """
 
     def __init__(self, learning_rate: float = 1e-3, beta1: float = 0.9,
@@ -268,8 +270,8 @@ class Adam:
 
     def step(self, store: ParameterStore) -> None:
         for name, param in store.parameters():
-            rows = None if param.rows is None else touched_rows(param)
-            grad = param.grad if rows is None else param.grad[rows]
+            live = live_index(param)
+            grad = param.grad[live]
             nonzero = np.count_nonzero(grad)
             if not nonzero:
                 continue
@@ -278,42 +280,36 @@ class Adam:
                 self._v[name] = np.zeros_like(param.value)
                 self._t[name] = 0
             self._t[name] += 1
-            t, m, v = self._t[name], self._m[name], self._v[name]
-            dense = nonzero == grad.size
-            if rows is None:
-                self._apply(param.value, grad, m, v, t, dense)
-            else:
-                value, m_rows, v_rows = param.value[rows], m[rows], v[rows]
-                self._apply(value, grad, m_rows, v_rows, t, dense)
-                param.value[rows], m[rows], v[rows] = value, m_rows, v_rows
+            m, v = self._m[name], self._v[name]
+            # a view for a dense parameter, so the write-back copies nothing
+            value, m_live, v_live = param.value[live], m[live], v[live]
+            where = True if nonzero == grad.size else grad != 0
+            self._apply(value, grad, m_live, v_live, self._t[name], where)
+            param.value[live], m[live], v[live] = value, m_live, v_live
         store.zero_gradients()
 
-    def _apply(self, value, grad, m, v, t: int, dense: bool) -> None:
-        """Step ``value`` and the moments in place; ``dense``: no zero in ``grad``."""
-        if not dense:
-            mask = grad != 0
-            g = grad[mask]
-            m[mask] = self.beta1 * m[mask] + (1.0 - self.beta1) * g
-            v[mask] = self.beta2 * v[mask] + (1.0 - self.beta2) * g * g
-            m_hat = m[mask] / (1.0 - self.beta1 ** t)
-            v_hat = v[mask] / (1.0 - self.beta2 ** t)
-            value[mask] -= self.learning_rate * m_hat / (np.sqrt(v_hat) + self.epsilon)
-            return
-        # the masked arithmetic above, operation for operation, on whole arrays
-        m *= self.beta1
-        scratch = np.multiply(grad, 1.0 - self.beta1)
-        m += scratch
-        v *= self.beta2
-        np.multiply(grad, 1.0 - self.beta2, out=scratch)
-        scratch *= grad
-        v += scratch
-        step = np.divide(m, 1.0 - self.beta1 ** t)
-        np.divide(v, 1.0 - self.beta2 ** t, out=scratch)
-        np.sqrt(scratch, out=scratch)
-        scratch += self.epsilon
-        step *= self.learning_rate
-        step /= scratch
-        value -= step
+    def _apply(self, value, grad, m, v, t: int, where) -> None:
+        """Step ``value`` and the moments in place where ``where`` holds.
+
+        ``m = beta1 m + (1 - beta1) g``, ``v = beta2 v + (1 - beta2) g g``,
+        ``value -= lr (m / (1 - beta1^t)) / (sqrt(v / (1 - beta2^t)) + eps)``.
+        """
+        scratch = np.empty_like(grad)
+        step = np.empty_like(m)
+        np.multiply(m, self.beta1, out=m, where=where)
+        np.multiply(grad, 1.0 - self.beta1, out=scratch, where=where)
+        np.add(m, scratch, out=m, where=where)
+        np.multiply(v, self.beta2, out=v, where=where)
+        np.multiply(grad, 1.0 - self.beta2, out=scratch, where=where)
+        np.multiply(scratch, grad, out=scratch, where=where)
+        np.add(v, scratch, out=v, where=where)
+        np.divide(m, 1.0 - self.beta1 ** t, out=step, where=where)
+        np.divide(v, 1.0 - self.beta2 ** t, out=scratch, where=where)
+        np.sqrt(scratch, out=scratch, where=where)
+        np.add(scratch, self.epsilon, out=scratch, where=where)
+        np.multiply(step, self.learning_rate, out=step, where=where)
+        np.divide(step, scratch, out=step, where=where)
+        np.subtract(value, step, out=value, where=where)
 
 
 def _square_sum(param: Parameter) -> float:
@@ -356,8 +352,8 @@ def _square_sum(param: Parameter) -> float:
 def clip_gradients(store: ParameterStore, max_norm: float) -> float:
     """Scale all gradients down to a global L2 norm of ``max_norm``.
 
-    Returns the norm before clipping. Row-tracked tables are read and
-    scaled on their touched rows only.
+    Returns the norm before clipping. Only the :func:`live_index` entries
+    are read and scaled.
     """
     total = 0.0
     for _, param in store.parameters():
@@ -366,10 +362,7 @@ def clip_gradients(store: ParameterStore, max_norm: float) -> float:
     if norm > max_norm and norm > 0.0:
         factor = max_norm / norm
         for _, param in store.parameters():
-            if param.rows is None:
-                param.grad *= factor
-            elif param.rows:
-                param.grad[touched_rows(param)] *= factor
+            param.grad[live_index(param)] *= factor
     return norm
 
 

@@ -50,7 +50,8 @@ class TransitionScorer:
     Features are the top three stack items and the first buffer item; a
     learned placeholder vector stands in for absent positions. Output is
     one score per labeled transition: index 0 is shift, then left-arc per
-    label, then right-arc per label.
+    label, then right-arc per label. :meth:`block` and
+    :meth:`transition_of` are the only code that knows this layout.
     """
 
     def __init__(self, store: ParameterStore, dim_encoder: int, n_labels: int,
@@ -64,20 +65,21 @@ class TransitionScorer:
         self.out_weight = store.matrix("scorer/W2", self.n_outputs, hidden_dim)
         self.out_bias = store.vector("scorer/b2", self.n_outputs)
 
-    def transition_index(self, kind: int, label: int | None) -> int:
+    def block(self, kind: int) -> slice:
+        """Output indices of ``kind``: shift's one, or an arc's one per label."""
         if kind == T.SHIFT:
-            return 0
-        if kind == T.LEFT_ARC:
-            return 1 + label
-        return 1 + self.n_labels + label
+            return slice(0, 1)
+        start = 1 if kind == T.LEFT_ARC else 1 + self.n_labels
+        return slice(start, start + self.n_labels)
 
-    def transition_of(self, index: int) -> T.Transition:
+    def transition_of(self, index: int) -> tuple[int, int | None]:
+        """(kind, label) of an output index; shift has label None."""
         if index == 0:
-            return T.Transition(T.SHIFT)
+            return T.SHIFT, None
         index -= 1
         if index < self.n_labels:
-            return T.Transition(T.LEFT_ARC, index)
-        return T.Transition(T.RIGHT_ARC, index - self.n_labels)
+            return T.LEFT_ARC, index
+        return T.RIGHT_ARC, index - self.n_labels
 
     def features(self, config: T.ParserConfiguration, encodings: list[Node]) -> Node:
         """Concatenation of stack[-1], stack[-2], stack[-3], buffer[0] vectors.
@@ -102,15 +104,34 @@ class TransitionScorer:
                              self.hidden_bias)
         return affine([(self.out_weight, hidden)], self.out_bias)
 
-    def legal_indices(self, config: T.ParserConfiguration) -> list[int]:
-        indices = []
+    def legal_mask(self, config: T.ParserConfiguration) -> np.ndarray:
+        """Which outputs are legal transitions in ``config``."""
+        mask = np.zeros(self.n_outputs, dtype=bool)
         for kind in config.legal_kinds():
-            if kind == T.SHIFT:
-                indices.append(0)
-            else:
-                indices.extend(self.transition_index(kind, lab) for lab in range(self.n_labels))
-        indices.sort()
-        return indices
+            mask[self.block(kind)] = True
+        return mask
+
+    def correct_mask(self, config: T.ParserConfiguration, costs: dict[int, int],
+                     gold_heads, gold_labels) -> np.ndarray:
+        """Which outputs keep the best reachable tree reachable.
+
+        ``costs`` is :func:`transition.transition_costs` of ``config``: a
+        correct transition has zero cost and, on a gold arc, the gold label.
+        """
+        mask = np.zeros(self.n_outputs, dtype=bool)
+        for kind, cost in costs.items():
+            if cost == 0:
+                block = self.block(kind)
+                label = T.correct_label(config, kind, gold_heads, gold_labels)
+                mask[block if label is None else block.start + label] = True
+        return mask
+
+
+def best_index(mask: np.ndarray, values: np.ndarray) -> int:
+    """Index of the highest value where ``mask`` holds, the lowest among ties; -1 if none."""
+    if not mask.any():
+        return -1
+    return int(np.argmax(np.where(mask, values, -np.inf)))
 
 
 def greedy_parse(encoder: SentenceEncoder, scorer: TransitionScorer,
@@ -128,11 +149,7 @@ def greedy_parse(encoder: SentenceEncoder, scorer: TransitionScorer,
         if steps >= limit:
             raise RuntimeError("parse exceeded %d transitions" % limit)
         values = scorer.scores(config, encodings).value
-        masked = np.full_like(values, -np.inf)
-        legal = scorer.legal_indices(config)
-        masked[legal] = values[legal]
-        chosen = scorer.transition_of(int(np.argmax(masked)))
-        config.apply(chosen.kind, chosen.label)
+        config.apply(*scorer.transition_of(best_index(scorer.legal_mask(config), values)))
         steps += 1
     if steps != limit:
         raise RuntimeError("parse finished in %d transitions, expected %d" % (steps, limit))
@@ -145,25 +162,6 @@ def parse_to_sentence(encoder: SentenceEncoder, scorer: TransitionScorer,
     tokens = [Token(form=form, head=head, label=label_vocab.token_of(label))
               for form, (head, label) in zip(forms, parsed)]
     return ConlluSentence(tokens)
-
-
-@dataclass
-class _StepChoice:
-    index: int = -1
-    score: float = -np.inf
-
-
-def _best_correct_and_wrong(scorer, config, costs, values, gold_heads, gold_labels):
-    """Highest-scoring correct and wrong labeled transitions among legal ones."""
-    best_correct, best_wrong = _StepChoice(), _StepChoice()
-    for index in scorer.legal_indices(config):
-        move = scorer.transition_of(index)
-        target = best_correct if T.is_correct(
-            config, costs, move.kind, move.label, gold_heads, gold_labels) else best_wrong
-        if values[index] > target.score:
-            target.index = index
-            target.score = values[index]
-    return best_correct, best_wrong
 
 
 def sentence_training_pass(encoder, scorer, sentence: ConlluSentence,
@@ -188,24 +186,25 @@ def sentence_training_pass(encoder, scorer, sentence: ConlluSentence,
         costs = T.transition_costs(config, gold_heads)
         score_node = scorer.scores(config, encodings)
         values = score_node.value
-        best_correct, best_wrong = _best_correct_and_wrong(
-            scorer, config, costs, values, gold_heads, gold_labels)
-        if best_correct.index < 0:
+        correct = scorer.correct_mask(config, costs, gold_heads, gold_labels)
+        best_correct = best_index(correct, values)
+        best_wrong = best_index(scorer.legal_mask(config) & ~correct, values)
+        if best_correct < 0:
             raise RuntimeError("no correct transition available; oracle invariant broken")
-        if best_wrong.index >= 0:
-            hinge = MARGIN + best_wrong.score - best_correct.score
+        if best_wrong >= 0:
+            hinge = MARGIN + values[best_wrong] - values[best_correct]
             if hinge > 0:
-                loss_terms.append(sub(pick(score_node, best_wrong.index),
-                                      pick(score_node, best_correct.index)))
+                loss_terms.append(sub(pick(score_node, best_wrong),
+                                      pick(score_node, best_correct)))
                 hinge_total += hinge
         if settings.oracle == "static" and training:
             move = T.static_oracle(config, gold_heads, gold_labels)
         else:
-            move = scorer.transition_of(best_correct.index)
-            if (explore and best_wrong.index >= 0 and best_wrong.score > best_correct.score
+            move = scorer.transition_of(best_correct)
+            if (explore and best_wrong >= 0 and values[best_wrong] > values[best_correct]
                     and rng.random() < EXPLORATION):
-                move = scorer.transition_of(best_wrong.index)
-        config.apply(move.kind, move.label)
+                move = scorer.transition_of(best_wrong)
+        config.apply(*move)
     loss_node = add_n(loss_terms) if loss_terms else None
     return loss_node, hinge_total
 

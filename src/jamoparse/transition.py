@@ -7,26 +7,10 @@ n tokens is parsed in exactly 2n transitions (n shifts, n attachments).
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 
 SHIFT = 0
 LEFT_ARC = 1
 RIGHT_ARC = 2
-
-KIND_NAMES = ("shift", "left-arc", "right-arc")
-
-
-@dataclass(frozen=True)
-class Transition:
-    """One parser move; arc moves carry a dependency-label id."""
-
-    kind: int
-    label: int | None = None
-
-    def __str__(self):
-        if self.kind == SHIFT:
-            return "shift"
-        return "%s(%d)" % (KIND_NAMES[self.kind], self.label)
 
 
 class ParserConfiguration:
@@ -125,35 +109,32 @@ def formed_arc(config: ParserConfiguration, kind: int) -> tuple[int, int] | None
     return None
 
 
-def is_correct(config: ParserConfiguration, costs: dict[int, int], kind: int,
-               label: int | None, gold_heads, gold_labels) -> bool:
-    """Whether a labeled transition keeps the best reachable tree reachable.
+def correct_label(config: ParserConfiguration, kind: int, gold_heads, gold_labels) -> int | None:
+    """The label a zero-cost ``kind`` must carry to stay correct, or None if any will do.
 
-    Zero cost is required; on a gold arc the label must match too. An arc
-    whose dependent already lost its gold head is label-indifferent.
+    Shift carries no label. An arc that builds a gold arc needs its gold
+    label; an arc whose dependent already lost its gold head is
+    label-indifferent.
     """
-    if costs.get(kind) != 0:
-        return False
     if kind == SHIFT:
-        return True
+        return None
     head, dependent = formed_arc(config, kind)
-    if gold_heads[dependent] == head:
-        return label == gold_labels[dependent]
-    return True
+    return gold_labels[dependent] if gold_heads[dependent] == head else None
 
 
-def static_oracle(config: ParserConfiguration, gold_heads, gold_labels) -> Transition:
-    """Canonical zero-cost transition: attach eagerly, shift otherwise."""
+def static_oracle(config: ParserConfiguration, gold_heads,
+                  gold_labels) -> tuple[int, int | None]:
+    """Canonical zero-cost (kind, label): attach eagerly, shift otherwise."""
     costs = transition_costs(config, gold_heads)
     for kind in (LEFT_ARC, RIGHT_ARC):
         if costs.get(kind) == 0:
             head, dependent = formed_arc(config, kind)
             if gold_heads[dependent] == head:
-                return Transition(kind, gold_labels[dependent])
+                return kind, gold_labels[dependent]
     if costs.get(SHIFT) == 0:
-        return Transition(SHIFT)
+        return SHIFT, None
     # off the gold path (exploration): fall back to any zero-cost transition
     for kind in (LEFT_ARC, RIGHT_ARC):
         if costs.get(kind) == 0:
-            return Transition(kind, gold_labels[formed_arc(config, kind)[1]])
+            return kind, gold_labels[formed_arc(config, kind)[1]]
     raise RuntimeError("no zero-cost transition; gold heads are not a projective tree")

@@ -369,6 +369,22 @@ class TestModelHeaderTypes:
                      "--output", str(tmp_path / "out.conllu")]) == 0
 
 
+def test_parse_writes_empty_form_sentence_unparsed(tmp_path, tiny_model):
+    text = tmp_path / "in.conllu"
+    text.write_text(EMPTY_FORM + GOOD, encoding="utf-8")
+    out = tmp_path / "out.conllu"
+    proc = run_cli_process("parse", "--model", str(tiny_model), "--input", str(text),
+                           "--output", str(out))
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert "error: sentence 1: empty form" in proc.stderr
+    first, second = read_conllu(out, allow_missing_heads=True)
+    assert [(t.form, t.head, t.label) for t in first.tokens] == [
+        ("", None, None), ("갔다", None, None)]
+    assert [t.form for t in second.tokens] == ["나는", "갔다"]
+    assert all(isinstance(t.head, int) for t in second.tokens)
+
+
 @pytest.mark.parametrize("value", ["nan", "inf"])
 def test_non_finite_embedding_exits_1_without_traceback(tmp_path, toy_treebank_path, value):
     vec = tmp_path / "vec.txt"

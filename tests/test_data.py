@@ -238,10 +238,12 @@ class TestEmbeddings:
         with pytest.raises(EmbeddingFormatError, match="line 2"):
             read_embeddings(path)
 
-    def test_malformed_value(self, tmp_path):
+    @pytest.mark.parametrize("value", ["one", "0x1p3", "1d0"])
+    def test_malformed_value(self, tmp_path, value):
+        # spellings float() refuses: hexadecimal and Fortran-style exponents
         path = tmp_path / "vec.txt"
-        path.write_text("a one two\n", encoding="utf-8")
-        with pytest.raises(EmbeddingFormatError, match="non-numeric"):
+        path.write_text("a 1.0 2.0\nb 0.5 %s\n" % value, encoding="utf-8")
+        with pytest.raises(EmbeddingFormatError, match="line 2: non-numeric"):
             read_embeddings(path)
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "NaN", "Infinity"])

@@ -27,6 +27,12 @@ def test_non_hangul_is_atomic():
     assert decompose("ㄱ") is None  # bare letters are not syllables
 
 
+@pytest.mark.parametrize("text", ["", "가나"])
+def test_decompose_needs_exactly_one_character(text):
+    with pytest.raises(ValueError, match="single character"):
+        decompose(text)
+
+
 def test_compose_known_code_points():
     assert compose(JamoTriple("ㅅ", "ㅏ", "ㄴ")) == "산"
     # frozen from the exhaustive round-trip oracle below

@@ -12,7 +12,7 @@ from jamoparse.model_io import (CorruptModelError, ModelVersionError, TrainedMod
                                 load_model, save_model)
 from jamoparse.nn import ParameterStore
 from jamoparse.parser import (MalformedTreeError, NonProjectiveError, TrainSettings,
-                              TransitionScorer,
+                              TransitionScorer, best_index,
                               greedy_parse, sentence_loss, train)
 from jamoparse.vocab import Vocabulary
 
@@ -133,8 +133,7 @@ class TestOracle:
                 config = T.ParserConfiguration(n)
                 steps = 0
                 while not config.is_terminal():
-                    move = T.static_oracle(config, gold_heads, gold_labels)
-                    config.apply(move.kind, move.label)
+                    config.apply(*T.static_oracle(config, gold_heads, gold_labels))
                     steps += 1
                 assert steps == 2 * n
                 assert config.heads == heads
@@ -186,16 +185,123 @@ class TestScorer:
     def test_transition_indexing_round_trips(self):
         scorer, _ = scorer_fixture(n_labels=3)
         for index in range(scorer.n_outputs):
-            move = scorer.transition_of(index)
-            assert scorer.transition_index(move.kind, move.label) == index
+            kind, label = scorer.transition_of(index)
+            assert reference_transition_index(scorer.n_labels, kind, label) == index
+            block = scorer.block(kind)
+            assert block.start <= index < block.stop
 
     def test_legal_indices_match_legal_kinds(self):
         scorer, _ = scorer_fixture(n_labels=2)
         config = T.ParserConfiguration(2)
         config.apply(T.SHIFT)
-        indices = scorer.legal_indices(config)
-        kinds = {scorer.transition_of(i).kind for i in indices}
+        indices = np.flatnonzero(scorer.legal_mask(config))
+        kinds = {scorer.transition_of(int(i))[0] for i in indices}
         assert kinds == T.legal_transitions(config)
+
+
+# The per-index transition choice that legal_mask, correct_mask and best_index
+# replaced, kept as their reference.
+
+def reference_transition_index(n_labels, kind, label):
+    if kind == T.SHIFT:
+        return 0
+    if kind == T.LEFT_ARC:
+        return 1 + label
+    return 1 + n_labels + label
+
+
+def reference_legal_moves(n_labels, config):
+    """(index, kind, label) of every legal labeled transition, by index."""
+    moves = []
+    for kind in config.legal_kinds():
+        labels = [None] if kind == T.SHIFT else range(n_labels)
+        moves.extend((reference_transition_index(n_labels, kind, lab), kind, lab)
+                     for lab in labels)
+    return sorted(moves)
+
+
+def reference_is_correct(config, costs, kind, label, gold_heads, gold_labels):
+    if costs.get(kind) != 0:
+        return False
+    if kind == T.SHIFT:
+        return True
+    head, dependent = T.formed_arc(config, kind)
+    if gold_heads[dependent] == head:
+        return label == gold_labels[dependent]
+    return True
+
+
+def reference_best_correct_and_wrong(n_labels, config, costs, values, gold_heads, gold_labels):
+    """Indices of the highest-scoring correct and wrong legal transitions, -1 if none."""
+    best = {True: (-1, -np.inf), False: (-1, -np.inf)}
+    for index, kind, label in reference_legal_moves(n_labels, config):
+        correct = reference_is_correct(config, costs, kind, label, gold_heads, gold_labels)
+        if values[index] > best[correct][1]:
+            best[correct] = (index, values[index])
+    return best[True][0], best[False][0]
+
+
+def reachable_configurations(n):
+    """One configuration per (stack, buffer) reachable from the start by legal moves."""
+    seen, pending = set(), [T.ParserConfiguration(n)]
+    while pending:
+        config = pending.pop()
+        key = (tuple(config.stack), tuple(config.buffer))
+        if key in seen:
+            continue
+        seen.add(key)
+        yield config
+        for kind in config.legal_kinds():
+            branch = copy.deepcopy(config)
+            branch.apply(kind, 0)
+            pending.append(branch)
+
+
+def oracle_cases(n_labels=3):
+    """(config, costs, gold heads, gold labels) over the 71 projective trees with n <= 4."""
+    for n in range(1, 5):
+        for heads in enumerate_projective_trees(n):
+            gold_heads = [None] + [heads[d] for d in range(1, n + 1)]
+            gold_labels = [None] + [d % n_labels for d in range(1, n + 1)]
+            for config in reachable_configurations(n):
+                yield config, T.transition_costs(config, gold_heads), gold_heads, gold_labels
+
+
+class TestTransitionChoice:
+    def test_masks_match_per_index_reference(self):
+        scorer, _ = scorer_fixture(n_labels=3)
+        cases = 0
+        for config, costs, gold_heads, gold_labels in oracle_cases():
+            moves = reference_legal_moves(3, config)
+            legal = scorer.legal_mask(config)
+            assert np.flatnonzero(legal).tolist() == [index for index, _, _ in moves]
+            correct = scorer.correct_mask(config, costs, gold_heads, gold_labels)
+            expected = [index for index, kind, label in moves
+                        if reference_is_correct(config, costs, kind, label,
+                                                gold_heads, gold_labels)]
+            assert np.flatnonzero(correct).tolist() == expected
+            cases += 1
+        assert cases > 500
+
+    def test_argmax_choice_matches_loop_with_ties(self):
+        scorer, _ = scorer_fixture(n_labels=3)
+        rng = np.random.default_rng(5)
+        without_wrong = 0
+        for config, costs, gold_heads, gold_labels in oracle_cases():
+            if config.is_terminal():
+                continue
+            for _ in range(3):
+                values = rng.integers(0, 3, size=scorer.n_outputs).astype(float)
+                legal = scorer.legal_mask(config)
+                correct = scorer.correct_mask(config, costs, gold_heads, gold_labels)
+                chosen = (best_index(correct, values), best_index(legal & ~correct, values))
+                assert chosen == reference_best_correct_and_wrong(
+                    3, config, costs, values, gold_heads, gold_labels)
+                without_wrong += chosen[1] < 0
+                masked = np.full_like(values, -np.inf)
+                masked[legal] = values[legal]
+                assert best_index(legal, values) == int(np.argmax(masked))
+        assert without_wrong
 
 
 def toy_model(words=None, seed=0, n_labels=2, dim=4):
