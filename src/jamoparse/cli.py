@@ -125,7 +125,7 @@ def cmd_parse(args) -> int:
 
 def cmd_eval(args) -> int:
     gold = data.read_conllu(args.gold)
-    pred = data.read_conllu(args.pred)
+    pred = data.read_conllu(args.pred, allow_missing_heads=True)  # `_`: unparsed, scored wrong
     uas, las = data.evaluate(gold, pred, exclude_punct=args.exclude_punct)
     print("uas=%.2f las=%.2f" % (uas, las))
     return 0

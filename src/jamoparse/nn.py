@@ -1,7 +1,6 @@
 """Trainable parameter storage, initialisation, LSTM cells, and optimizers."""
 from __future__ import annotations
 
-import bisect
 import math
 from typing import Iterator
 
@@ -312,57 +311,24 @@ class Adam:
         np.subtract(value, step, out=value, where=where)
 
 
-def _square_sum(param: Parameter) -> float:
-    """``float(np.sum(param.grad * param.grad))``, bit for bit.
-
-    For a row-tracked table only the touched rows are read. numpy sums a
-    contiguous array pairwise: a block of at most 128 elements directly, a
-    longer one as the sum of its halves, split at half its length rounded
-    down to a multiple of 8. Untouched rows are zero, and a block of zeros
-    adds exactly 0.0, so recursing only into blocks that overlap a touched
-    row reproduces the full sum.
-    """
-    grad = param.grad
-    if param.rows is None:
-        return float(np.sum(grad * grad))
-    if not param.rows:
-        return 0.0
-    flat = grad.reshape(-1)
-    width = grad.shape[1]
-    starts = [r * width for r in sorted(param.rows)]
-
-    def touched(lo: int, hi: int) -> bool:
-        last = bisect.bisect_left(starts, hi)  # rows starting before hi: starts[:last]
-        return last > 0 and starts[last - 1] + width > lo
-
-    def block(lo: int, hi: int):
-        if hi - lo <= 128:
-            part = flat[lo:hi]
-            return np.sum(part * part)
-        half = (hi - lo) // 2
-        mid = lo + half - half % 8
-        left, right = touched(lo, mid), touched(mid, hi)
-        if left and right:
-            return block(lo, mid) + block(mid, hi)
-        return block(lo, mid) if left else block(mid, hi)
-
-    return float(block(0, flat.size))
-
-
 def clip_gradients(store: ParameterStore, max_norm: float) -> float:
     """Scale all gradients down to a global L2 norm of ``max_norm``.
 
     Returns the norm before clipping. Only the :func:`live_index` entries
-    are read and scaled.
+    are read and scaled: a table's squared norm sums its touched rows in
+    sorted order, so it can differ in the last bits from a sum over the
+    full array; a dense parameter's is the full-array sum.
     """
+    live = [(param, live_index(param)) for _, param in store.parameters()]
     total = 0.0
-    for _, param in store.parameters():
-        total += _square_sum(param)
+    for param, index in live:
+        grad = param.grad[index]
+        total += float(np.sum(grad * grad))
     norm = math.sqrt(total)
     if norm > max_norm and norm > 0.0:
         factor = max_norm / norm
-        for _, param in store.parameters():
-            param.grad[live_index(param)] *= factor
+        for param, index in live:
+            param.grad[index] *= factor
     return norm
 
 

@@ -1,6 +1,7 @@
 """Greedy transition parsing and max-margin training over sentence encodings."""
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -42,6 +43,18 @@ class TrainSettings:
     oracle: str = "dynamic"  # or "static"
     explore_from_epoch: int = 2
     float32: bool = False
+
+    def __post_init__(self):
+        if self.epochs < 0:
+            raise ValueError("epochs must be >= 0")
+        if self.hidden_dim < 1:
+            raise ValueError("hidden_dim must be positive")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError("learning_rate must be a finite positive number")
+        if self.optimizer not in ("adam", "sgd"):
+            raise ValueError("unknown optimizer %r" % self.optimizer)
+        if self.oracle not in ("dynamic", "static"):
+            raise ValueError("unknown oracle %r" % self.oracle)
 
 
 class TransitionScorer:
@@ -207,14 +220,6 @@ def sentence_training_pass(encoder, scorer, sentence: ConlluSentence,
         config.apply(*move)
     loss_node = add_n(loss_terms) if loss_terms else None
     return loss_node, hinge_total
-
-
-def sentence_loss(encoder, scorer, sentence: ConlluSentence,
-                  label_vocab: Vocabulary, settings: TrainSettings) -> float:
-    """Total hinge along the best-correct path, without dropout or updates."""
-    _, hinge_total = sentence_training_pass(
-        encoder, scorer, sentence, label_vocab, settings, rng=None, epoch=0, training=False)
-    return hinge_total
 
 
 @dataclass

@@ -60,14 +60,6 @@ class ParserConfiguration:
         self.heads[dependent] = head
         self.labels[dependent] = label
 
-    def arcs(self) -> set[tuple[int, int]]:
-        return {(head, dep) for dep, head in self.heads.items()}
-
-
-def legal_transitions(config: ParserConfiguration) -> set[int]:
-    """Set-valued view of :meth:`ParserConfiguration.legal_kinds`."""
-    return set(config.legal_kinds())
-
 
 def transition_costs(config: ParserConfiguration, gold_heads) -> dict[int, int]:
     """Dynamic-oracle cost of each legal kind: gold arcs made unreachable.

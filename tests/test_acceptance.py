@@ -17,8 +17,7 @@ import pytest
 
 from jamoparse import hangul
 from jamoparse import transition as T
-from jamoparse.autograd import (add, add_n, affine, affine_tanh, concat, matvec, mul, pick,
-                                row, scale, sigmoid, stack, sub, tanh, vslice, vsum)
+from jamoparse.autograd import add_n, affine, affine_tanh, concat, pick, row, stack, sub
 from jamoparse.cli import decompose_lines
 from jamoparse.data import (ConlluSentence, Token, build_vocabularies, evaluate,
                             is_projective, read_conllu)
@@ -29,6 +28,7 @@ from jamoparse.parser import TrainSettings, TransitionScorer, greedy_parse, trai
 from jamoparse.vocab import Vocabulary
 
 from conftest import TOY_TREEBANK, assert_gradients_match
+from graph_ops import add, matvec, mul, scale, sigmoid, tanh, vslice, vsum
 from test_parser import enumerate_projective_trees
 
 

@@ -137,6 +137,51 @@ class TestTrainParseEval:
         assert code == 0
         assert out.startswith("uas=")
 
+    def test_eval_scores_unparsed_tokens_as_wrong(self, trained, tmp_path, capsys,
+                                                 toy_treebank_path):
+        lines = open(toy_treebank_path, encoding="utf-8").read().splitlines(keepends=True)
+        first_token = next(i for i, line in enumerate(lines) if line[:1].isdigit())
+        fields = lines[first_token].split("\t")
+        fields[1] = ""
+        lines[first_token] = "\t".join(fields)
+        gold_path, predicted = tmp_path / "gold.conllu", tmp_path / "pred.conllu"
+        gold_path.write_text("".join(lines), encoding="utf-8")
+        code, _, err = run_cli(capsys, "parse", "--model", str(trained),
+                               "--input", str(gold_path), "--output", str(predicted))
+        assert code == 1
+        assert "error: sentence 1: empty form" in err
+        code, out, err = run_cli(capsys, "eval", "--gold", str(gold_path),
+                                 "--pred", str(predicted))
+        assert code == 0, err
+        gold = read_conllu(gold_path)
+        parsed = read_conllu(predicted, allow_missing_heads=True)
+        assert all(t.head is None for t in parsed[0].tokens)
+        pairs = [(g, p) for gs, ps in zip(gold, parsed) for g, p in zip(gs.tokens, ps.tokens)]
+        heads = sum(p.head is not None and g.head == p.head for g, p in pairs)
+        labeled = sum(p.head is not None and (g.head, g.label) == (p.head, p.label)
+                      for g, p in pairs)
+        assert out.strip() == "uas=%.2f las=%.2f" % (100.0 * heads / len(pairs),
+                                                     100.0 * labeled / len(pairs))
+
+    @pytest.mark.parametrize("flag,value,message", [
+        ("--hidden-dim", "0", "hidden_dim must be positive"),
+        ("--learning-rate", "nan", "learning_rate must be a finite positive number"),
+        ("--learning-rate", "inf", "learning_rate must be a finite positive number"),
+        ("--learning-rate", "0", "learning_rate must be a finite positive number"),
+        ("--learning-rate", "-0.1", "learning_rate must be a finite positive number"),
+        ("--epochs", "-2", "epochs must be >= 0"),
+    ])
+    def test_bad_train_setting_exits_1_without_a_model(self, tmp_path, capsys,
+                                                       toy_treebank_path, flag, value, message):
+        model_path = tmp_path / "m.model"
+        code, _, err = run_cli(capsys, "train", "--train", toy_treebank_path,
+                               "--model", str(model_path), "--dim-jamo", "4", "--dim-char", "0",
+                               "--dim-word", "4", "--dim-encoder", "8", "--hidden-dim", "4",
+                               "--epochs", "1", flag, value)
+        assert code == 1
+        assert "error: %s" % message in err
+        assert not model_path.exists()
+
     def test_parse_accepts_unannotated_input(self, trained, tmp_path, capsys):
         bare = tmp_path / "bare.conllu"
         bare.write_text(

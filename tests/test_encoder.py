@@ -6,10 +6,11 @@ from jamoparse import hangul
 from jamoparse.data import ConlluSentence, Token, build_vocabularies
 from jamoparse.encoder import SentenceEncoder, UnitConfig
 from jamoparse.nn import ParameterStore
-from jamoparse.autograd import add, backward, vsum
+from jamoparse.autograd import backward
 from jamoparse.vocab import UNK
 
 from conftest import assert_gradients_match
+from graph_ops import add, vsum
 
 
 def treebank_of(words):
@@ -262,8 +263,6 @@ class TestAblation:
 
 
 def test_long_sentence_stays_finite_through_backward():
-    from jamoparse.autograd import add, backward
-
     enc, store = make_encoder(UnitConfig(4, 4, 4, 8), CORPUS, seed=1)
     words = (CORPUS * 7)[:40]
     vectors = enc.encode(words)
@@ -277,8 +276,6 @@ def test_long_sentence_stays_finite_through_backward():
 
 
 def test_full_encoder_gradients_two_word_sentence():
-    from jamoparse.autograd import add
-
     enc, store = make_encoder(UnitConfig(2, 2, 2, 4), ["산을", "갔다"], seed=3)
     words = ["산을", "갔다"]
 

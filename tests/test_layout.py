@@ -1,0 +1,37 @@
+"""Structural checks on the package source."""
+import ast
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "jamoparse"
+
+
+def public_definitions(tree):
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Assign):
+            names.update(t.id for t in node.targets if isinstance(t, ast.Name))
+    return {name for name in names if not name.startswith("_")}
+
+
+def names_imported_from(module, tree):
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (
+                (node.level == 1 and node.module == module)
+                or (node.level == 0 and node.module == "jamoparse." + module)):
+            names.update(alias.name for alias in node.names)
+    return names
+
+
+def test_every_public_autograd_name_is_imported_by_the_package():
+    # ops only tests build belong in tests/graph_ops.py, not in the package
+    defined = public_definitions(ast.parse((PACKAGE / "autograd.py").read_text("utf-8")))
+    used = set()
+    for path in PACKAGE.glob("*.py"):
+        if path.name != "autograd.py":
+            used |= names_imported_from("autograd", ast.parse(path.read_text("utf-8")))
+    assert defined, "no public names found in autograd.py"
+    assert not defined - used, "autograd defines names no package module imports: %s" % (
+        sorted(defined - used))

@@ -12,22 +12,31 @@ from jamoparse.model_io import (CorruptModelError, ModelVersionError, TrainedMod
                                 load_model, save_model)
 from jamoparse.nn import ParameterStore
 from jamoparse.parser import (MalformedTreeError, NonProjectiveError, TrainSettings,
-                              TransitionScorer, best_index,
-                              greedy_parse, sentence_loss, train)
+                              TransitionScorer, best_index, greedy_parse,
+                              sentence_training_pass, train)
 from jamoparse.vocab import Vocabulary
+
+from graph_ops import constant
+
+
+def sentence_loss(encoder, scorer, sentence, label_vocab, settings):
+    """Total hinge along the best-correct path, without dropout or updates."""
+    _, hinge_total = sentence_training_pass(
+        encoder, scorer, sentence, label_vocab, settings, rng=None, epoch=0, training=False)
+    return hinge_total
 
 
 class TestConfiguration:
     def test_initial_one_word_sentence_allows_only_shift(self):
         config = T.ParserConfiguration(1)
-        assert T.legal_transitions(config) == {T.SHIFT}
+        assert set(config.legal_kinds()) == {T.SHIFT}
 
     def test_terminal_has_no_transitions(self):
         config = T.ParserConfiguration(1)
         config.apply(T.SHIFT)
         config.apply(T.RIGHT_ARC, 0)
         assert config.is_terminal()
-        assert T.legal_transitions(config) == set()
+        assert set(config.legal_kinds()) == set()
         assert config.heads == {1: 0}
 
     def test_mid_parse_all_three_legal(self):
@@ -36,7 +45,7 @@ class TestConfiguration:
         config.apply(T.SHIFT)
         assert config.stack == [0, 1]
         assert list(config.buffer) == [2]
-        assert T.legal_transitions(config) == {T.SHIFT, T.LEFT_ARC, T.RIGHT_ARC}
+        assert set(config.legal_kinds()) == {T.SHIFT, T.LEFT_ARC, T.RIGHT_ARC}
 
     def test_legality_enumeration_oracle(self):
         # compare legal_kinds against a direct restatement of the rules
@@ -55,7 +64,7 @@ class TestConfiguration:
             n = int(rng.integers(1, 6))
             config = T.ParserConfiguration(n)
             while not config.is_terminal():
-                legal = T.legal_transitions(config)
+                legal = set(config.legal_kinds())
                 assert legal == expected(config)
                 assert legal, "non-terminal configuration must have a move"
                 kind = sorted(legal)[int(rng.integers(len(legal)))]
@@ -67,7 +76,7 @@ class TestConfiguration:
             config = T.ParserConfiguration(n)
             steps = 0
             while not config.is_terminal():
-                legal = sorted(T.legal_transitions(config))
+                legal = sorted(set(config.legal_kinds()))
                 config.apply(legal[int(rng.integers(len(legal)))], 0)
                 steps += 1
             assert steps == 2 * n
@@ -164,7 +173,6 @@ class TestScorer:
         scorer, store = scorer_fixture()
         for _, p in store.parameters():
             p.value.fill(0.0)
-        from jamoparse.autograd import constant
         encodings = [constant(np.ones(4)), constant(np.full(4, -2.0))]
         config = T.ParserConfiguration(2)
         scores = scorer.scores(config, encodings)
@@ -173,7 +181,6 @@ class TestScorer:
     def test_scores_finite_and_deterministic(self):
         scorer, _ = scorer_fixture(n_labels=3)
         rng = np.random.default_rng(2)
-        from jamoparse.autograd import constant
         encodings = [constant(rng.normal(size=4)) for _ in range(3)]
         config = T.ParserConfiguration(3)
         config.apply(T.SHIFT)
@@ -196,7 +203,7 @@ class TestScorer:
         config.apply(T.SHIFT)
         indices = np.flatnonzero(scorer.legal_mask(config))
         kinds = {scorer.transition_of(int(i))[0] for i in indices}
-        assert kinds == T.legal_transitions(config)
+        assert kinds == set(config.legal_kinds())
 
 
 # The per-index transition choice that legal_mask, correct_mask and best_index
@@ -415,6 +422,15 @@ class TestTraining:
             assert 0.0 < entry["grad_norm_mean"] <= entry["grad_norm_max"]
             assert 0.0 <= entry["clip_rate"] <= 1.0
         assert train(sentences, None, config, settings).history == first.history
+
+    @pytest.mark.parametrize("field,value", [
+        ("epochs", -1), ("hidden_dim", 0), ("learning_rate", 0.0),
+        ("learning_rate", float("nan")), ("learning_rate", float("inf")),
+        ("optimizer", "adagrad"), ("oracle", "statc"),
+    ])
+    def test_settings_out_of_range_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            TrainSettings(**{field: value})
 
     def test_empty_treebank_rejected(self):
         with pytest.raises(ValueError):
