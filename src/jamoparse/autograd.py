@@ -32,10 +32,6 @@ class Node:
         self.parents = parents
         self.backward_fn = backward_fn
 
-    @property
-    def shape(self):
-        return self.value.shape
-
     def __repr__(self):
         return "Node(shape=%s)" % (self.value.shape,)
 
@@ -70,19 +66,6 @@ def _accumulate(node: Node, delta) -> None:
     else:  # a broadcast delta
         node.grad = np.zeros_like(node.value)
         node.grad += delta
-
-
-def sub(a: Node, b: Node) -> Node:
-    if a.value.shape != b.value.shape:
-        raise ShapeMismatchError("sub: %s vs %s" % (a.value.shape, b.value.shape))
-    out = Node(a.value - b.value, (a, b))
-
-    def backward_fn(grad):
-        _accumulate(a, grad)
-        _accumulate(b, -grad)
-
-    out.backward_fn = backward_fn
-    return out
 
 
 def logistic(x: np.ndarray) -> np.ndarray:
@@ -168,24 +151,6 @@ def stack(parts: Sequence[Node]) -> Node:
     return out
 
 
-def add_n(nodes: Sequence[Node]) -> Node:
-    """Sum of same-shaped nodes; handy for accumulating loss terms."""
-    nodes = tuple(nodes)
-    if not nodes:
-        raise ValueError("add_n needs at least one node")
-    total = nodes[0].value
-    for node in nodes[1:]:
-        total = total + node.value
-    out = Node(total, nodes)
-
-    def backward_fn(grad):
-        for node in nodes:
-            _accumulate(node, grad)
-
-    out.backward_fn = backward_fn
-    return out
-
-
 def _affine_forward(pairs: tuple, bias: Node) -> tuple[np.ndarray, tuple[Node, ...]]:
     """Checked ``bias + sum of matrix @ vector`` over all pairs, and the parent nodes."""
     if bias.value.ndim != 1:
@@ -210,18 +175,6 @@ def _affine_backward(pairs: tuple, bias: Node, grad) -> None:
         _accumulate(w, np.outer(grad, x.value))
         _accumulate(x, w.value.T @ grad)
     _accumulate(bias, grad)
-
-
-def affine(pairs: Sequence[tuple[Node, Node]], bias: Node) -> Node:
-    """bias + sum of matrix @ vector over all pairs."""
-    pairs = tuple(pairs)
-    out = Node(*_affine_forward(pairs, bias))
-
-    def backward_fn(grad):
-        _affine_backward(pairs, bias, grad)
-
-    out.backward_fn = backward_fn
-    return out
 
 
 def affine_tanh(pairs: Sequence[tuple[Node, Node]], bias: Node) -> Node:

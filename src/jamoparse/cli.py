@@ -150,7 +150,7 @@ def cmd_decompose(args) -> int:
     if args.text is not None:
         text = args.text
     else:
-        with open(args.input, encoding="utf-8") as handle:
+        with open(args.input, encoding="utf-8-sig") as handle:
             text = handle.read().rstrip("\n")
     lines = decompose_lines(text)
     if args.output:

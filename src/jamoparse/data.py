@@ -50,12 +50,14 @@ def read_conllu(path, allow_missing_heads: bool = False) -> list[ConlluSentence]
     """Parse a 10-column CoNLL-U / CoNLL-X file.
 
     Multiword ranges (1-2) and empty nodes (1.1) are skipped, comment lines
-    ignored, blank lines separate sentences. Head `_` is only accepted when
-    ``allow_missing_heads`` is set (unannotated input for parsing).
+    ignored, blank lines separate sentences; every other line's ID must be
+    the next integer of its sentence (1, 2, ...). Head `_` is only accepted
+    when ``allow_missing_heads`` is set (unannotated input for parsing). A
+    leading UTF-8 byte-order mark is dropped.
     """
     sentences: list[ConlluSentence] = []
     current: list[Token] = []
-    with open(path, encoding="utf-8") as handle:
+    with open(path, encoding="utf-8-sig") as handle:
         for lineno, raw in enumerate(handle, start=1):
             line = raw.rstrip("\n").rstrip("\r")
             if not line:
@@ -72,6 +74,9 @@ def read_conllu(path, allow_missing_heads: bool = False) -> list[ConlluSentence]
             token_id = fields[0]
             if "-" in token_id or "." in token_id:
                 continue  # multiword range / empty node
+            if token_id != str(len(current) + 1):
+                raise ConlluFormatError("line %d: expected token id %d, got %r"
+                                        % (lineno, len(current) + 1, token_id))
             head_field = fields[6]
             if head_field == "_":
                 if not allow_missing_heads:
@@ -261,10 +266,10 @@ def build_label_vocabulary(sentences: list[ConlluSentence]) -> Vocabulary:
 
 
 def read_embeddings(path, expected_dim: int | None = None) -> tuple[int, dict[str, np.ndarray]]:
-    """Read `token v1 .. vD` lines; all rows must share one finite-valued dimension."""
+    """Read `token v1 .. vD` lines after any byte-order mark; rows share one finite dimension."""
     vectors: dict[str, np.ndarray] = {}
     dim: int | None = None
-    with open(path, encoding="utf-8") as handle:
+    with open(path, encoding="utf-8-sig") as handle:
         for lineno, raw in enumerate(handle, start=1):
             line = raw.rstrip("\n")
             if not line.strip():

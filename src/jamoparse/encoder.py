@@ -156,8 +156,8 @@ class SentenceEncoder:
                 return self.word_vocab.unk_id
         return idx
 
-    def encode(self, words: list[str], training: bool = False, rng=None) -> list[Node]:
-        """Per-word context vectors, one per input word.
+    def encode(self, words: list[str], training: bool = False, rng=None) -> Node:
+        """Context vectors as one ``(len(words), dim_encoder)`` node, row i for word i.
 
         ``training`` enables frequency-based word dropout at the lookup
         tier (sub-word tiers always see the real spelling).
@@ -175,4 +175,4 @@ class SentenceEncoder:
         sequence = stack(inputs)
         for fwd, bwd in ((self.layer1_fwd, self.layer1_bwd), (self.layer2_fwd, self.layer2_bwd)):
             sequence = bilstm(fwd, bwd, sequence)
-        return [row(sequence, i) for i in range(len(words))]
+        return sequence

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import transition as T
-from .autograd import Node, add_n, affine, affine_tanh, backward, concat, pick, sub
+from .autograd import Node, _accumulate, backward
 from .data import (ConlluSentence, Token, build_label_vocabulary, build_vocabularies, check_tree,
                    evaluate, is_projective)
 from .encoder import SentenceEncoder, UnitConfig
@@ -21,6 +21,10 @@ class NonProjectiveError(ValueError):
 
 class MalformedTreeError(ValueError):
     """Training was handed gold heads that do not form a tree; see data.check_tree."""
+
+
+class EmptyFormError(ValueError):
+    """A dev sentence has a token with no spelling, which no tier can encode."""
 
 
 #: Hinge margin: a wrong transition must score this much below the best correct one.
@@ -61,15 +65,16 @@ class TransitionScorer:
     """One-hidden-layer feedforward from four context vectors to scores.
 
     Features are the top three stack items and the first buffer item; a
-    learned placeholder vector stands in for absent positions. Output is
-    one score per labeled transition: index 0 is shift, then left-arc per
-    label, then right-arc per label. :meth:`block` and
-    :meth:`transition_of` are the only code that knows this layout.
+    learned placeholder vector stands in for the root and absent positions.
+    :meth:`scores` runs on plain arrays; a training sentence's one scorer
+    node is :meth:`hinge_loss`. Output is one score per labeled transition:
+    index 0 is shift, then left-arc per label, then right-arc per label.
+    :meth:`block` and :meth:`transition_of` are the only code that knows
+    this layout.
     """
 
     def __init__(self, store: ParameterStore, dim_encoder: int, n_labels: int,
                  hidden_dim: int = 100):
-        self.dim_encoder = dim_encoder
         self.n_labels = n_labels
         self.n_outputs = 1 + 2 * n_labels
         self.placeholder = store.vector("scorer/placeholder", dim_encoder)
@@ -94,28 +99,50 @@ class TransitionScorer:
             return T.LEFT_ARC, index
         return T.RIGHT_ARC, index - self.n_labels
 
-    def features(self, config: T.ParserConfiguration, encodings: list[Node]) -> Node:
-        """Concatenation of stack[-1], stack[-2], stack[-3], buffer[0] vectors.
+    def feature_table(self, encoded: Node) -> np.ndarray:
+        """The placeholder row stacked above the encoder's rows: token i is row i."""
+        return np.concatenate([self.placeholder.value[None], encoded.value])
 
-        ``encodings[i]`` must hold token i+1; the root and absent slots use
-        the learned placeholder.
+    def scores(self, table: np.ndarray, rows: list[int]) -> tuple[np.ndarray, np.ndarray]:
+        """(hidden layer, one score per output) for the features at ``rows`` of ``table``."""
+        pre = self.hidden_bias.value.copy()
+        pre += self.hidden_weight.value @ table[rows].reshape(-1)
+        hidden = np.tanh(pre)
+        scores = self.out_bias.value.copy()
+        scores += self.out_weight.value @ hidden
+        return hidden, scores
+
+    def hinge_loss(self, encoded: Node, table: np.ndarray, steps: list[tuple]) -> Node:
+        """Sum of score[wrong] - score[correct] over ``steps``, as one node.
+
+        ``table`` is :meth:`feature_table` of ``encoded``; each step is the
+        ``(rows, hidden, scores, wrong, correct)`` of one margin violation.
+        The backward pass takes one GEMM per weight over all steps and
+        scatters the feature gradient into the placeholder and ``encoded``.
         """
-        parts = []
-        for depth in (1, 2, 3):
-            if len(config.stack) > depth - 1 and config.stack[-depth] != 0:
-                parts.append(encodings[config.stack[-depth] - 1])
-            else:
-                parts.append(self.placeholder)
-        if config.buffer:
-            parts.append(encodings[config.buffer[0] - 1])
-        else:
-            parts.append(self.placeholder)
-        return concat(parts)
+        rows, hidden, scores, wrong, correct = (np.array(column) for column in zip(*steps))
+        taken = np.arange(len(steps))
+        out = Node(np.sum(scores[taken, wrong] - scores[taken, correct]),
+                   (encoded, self.placeholder, self.hidden_weight, self.hidden_bias,
+                    self.out_weight, self.out_bias))
 
-    def scores(self, config: T.ParserConfiguration, encodings: list[Node]) -> Node:
-        hidden = affine_tanh([(self.hidden_weight, self.features(config, encodings))],
-                             self.hidden_bias)
-        return affine([(self.out_weight, hidden)], self.out_bias)
+        def backward_fn(grad):
+            d_scores = np.zeros_like(scores)
+            d_scores[taken, wrong] = grad
+            d_scores[taken, correct] = -grad
+            _accumulate(self.out_weight, d_scores.T @ hidden)
+            _accumulate(self.out_bias, d_scores.sum(axis=0))
+            d_pre = (d_scores @ self.out_weight.value) * (1.0 - hidden * hidden)
+            features = table[rows]  # (steps, 4, dim)
+            _accumulate(self.hidden_weight, d_pre.T @ features.reshape(len(steps), -1))
+            _accumulate(self.hidden_bias, d_pre.sum(axis=0))
+            d_table = np.zeros_like(table)
+            np.add.at(d_table, rows, (d_pre @ self.hidden_weight.value).reshape(features.shape))
+            _accumulate(self.placeholder, d_table[0])
+            _accumulate(encoded, d_table[1:])
+
+        out.backward_fn = backward_fn
+        return out
 
     def legal_mask(self, config: T.ParserConfiguration) -> np.ndarray:
         """Which outputs are legal transitions in ``config``."""
@@ -140,6 +167,14 @@ class TransitionScorer:
         return mask
 
 
+def feature_rows(config: T.ParserConfiguration) -> list[int]:
+    """Table rows of stack[-1], stack[-2], stack[-3] and buffer[0]; 0 for the root or none."""
+    stack = config.stack
+    rows = [stack[-depth] if len(stack) >= depth else 0 for depth in (1, 2, 3)]
+    rows.append(config.buffer[0] if config.buffer else 0)
+    return rows
+
+
 def best_index(mask: np.ndarray, values: np.ndarray) -> int:
     """Index of the highest value where ``mask`` holds, the lowest among ties; -1 if none."""
     if not mask.any():
@@ -154,14 +189,14 @@ def greedy_parse(encoder: SentenceEncoder, scorer: TransitionScorer,
     The highest-scoring legal transition is applied until the terminal
     configuration; ties break towards the lowest transition index.
     """
-    encodings = encoder.encode(forms)
+    table = scorer.feature_table(encoder.encode(forms))
     config = T.ParserConfiguration(len(forms))
     steps = 0
     limit = 2 * len(forms)
     while not config.is_terminal():
         if steps >= limit:
             raise RuntimeError("parse exceeded %d transitions" % limit)
-        values = scorer.scores(config, encodings).value
+        _, values = scorer.scores(table, feature_rows(config))
         config.apply(*scorer.transition_of(best_index(scorer.legal_mask(config), values)))
         steps += 1
     if steps != limit:
@@ -178,27 +213,28 @@ def parse_to_sentence(encoder: SentenceEncoder, scorer: TransitionScorer,
 
 
 def sentence_training_pass(encoder, scorer, sentence: ConlluSentence,
-                           label_vocab: Vocabulary, settings: TrainSettings,
-                           rng, epoch: int, training: bool = True):
+                           label_vocab: Vocabulary, settings: TrainSettings, rng, epoch: int):
     """Run the oracle-guided transition sequence once; returns (loss node, hinge total).
 
     Hinge terms MARGIN + score(best wrong) - score(best correct) are collected
-    whenever the margin is violated; the returned node backpropagates their
-    sum (the margin constant has no gradient).
+    whenever the margin is violated; the :meth:`TransitionScorer.hinge_loss`
+    node returned backpropagates their sum, or is None without a violation.
+    ``rng`` draws word dropout and exploration; without it, ``epoch`` must
+    come before ``settings.explore_from_epoch``.
     """
     forms = sentence.forms
     gold_heads = sentence.head_array()
     gold_labels = [None] + [label_vocab.id_of(t.label) for t in sentence.tokens]
-    encodings = encoder.encode(forms, training=training, rng=rng)
+    encoded = encoder.encode(forms, training=True, rng=rng)
+    table = scorer.feature_table(encoded)
     config = T.ParserConfiguration(len(forms))
-    loss_terms: list[Node] = []
+    violations = []
     hinge_total = 0.0
-    explore = (training and settings.oracle == "dynamic"
-               and epoch >= settings.explore_from_epoch)
+    explore = settings.oracle == "dynamic" and epoch >= settings.explore_from_epoch
     while not config.is_terminal():
         costs = T.transition_costs(config, gold_heads)
-        score_node = scorer.scores(config, encodings)
-        values = score_node.value
+        rows = feature_rows(config)
+        hidden, values = scorer.scores(table, rows)
         correct = scorer.correct_mask(config, costs, gold_heads, gold_labels)
         best_correct = best_index(correct, values)
         best_wrong = best_index(scorer.legal_mask(config) & ~correct, values)
@@ -207,10 +243,9 @@ def sentence_training_pass(encoder, scorer, sentence: ConlluSentence,
         if best_wrong >= 0:
             hinge = MARGIN + values[best_wrong] - values[best_correct]
             if hinge > 0:
-                loss_terms.append(sub(pick(score_node, best_wrong),
-                                      pick(score_node, best_correct)))
+                violations.append((rows, hidden, values, best_wrong, best_correct))
                 hinge_total += hinge
-        if settings.oracle == "static" and training:
+        if settings.oracle == "static":
             move = T.static_oracle(config, gold_heads, gold_labels)
         else:
             move = scorer.transition_of(best_correct)
@@ -218,8 +253,8 @@ def sentence_training_pass(encoder, scorer, sentence: ConlluSentence,
                     and rng.random() < EXPLORATION):
                 move = scorer.transition_of(best_wrong)
         config.apply(*move)
-    loss_node = add_n(loss_terms) if loss_terms else None
-    return loss_node, hinge_total
+    loss = scorer.hinge_loss(encoded, table, violations) if violations else None
+    return loss, hinge_total
 
 
 @dataclass
@@ -243,10 +278,11 @@ def train(train_sentences: list[ConlluSentence],
           log=None) -> TrainResult:
     """Max-margin training with per-epoch dev model selection.
 
-    Raises MalformedTreeError on gold heads that do not form a tree and
-    NonProjectiveError on non-projective training input. With a dev
-    treebank the best-LAS parameter snapshot wins; otherwise the last epoch
-    does. ``log`` receives one machine-parseable line per epoch.
+    Raises MalformedTreeError on gold heads that do not form a tree,
+    NonProjectiveError on non-projective training input and EmptyFormError
+    on a dev sentence with an empty form, all before the first epoch. With
+    a dev treebank the best-LAS parameter snapshot wins; otherwise the last
+    epoch does. ``log`` receives one machine-parseable line per epoch.
 
     Each history entry holds the epoch, its summed hinge loss, dev ``uas``
     and ``las`` when a dev treebank is given, the number of parameter
@@ -262,6 +298,9 @@ def train(train_sentences: list[ConlluSentence],
             raise MalformedTreeError("training sentence %d is not a tree: %s" % (num, problem))
         if not is_projective(sentence):
             raise NonProjectiveError("training sentence %d is non-projective" % num)
+    for num, sentence in enumerate(dev_sentences or (), start=1):
+        if not all(sentence.forms):
+            raise EmptyFormError("dev sentence %d has an empty form" % num)
 
     jamo_vocab, char_vocab, word_vocab, _ = build_vocabularies(train_sentences)
     label_vocab = build_label_vocabulary(train_sentences)

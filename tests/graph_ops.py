@@ -1,12 +1,16 @@
 """Graph ops that only the tests build: oracles for the fused model ops.
 
-The node-per-gate reference LSTM in ``test_bilstm.py``, the optimizer tests
-and the per-op gradient suites compose these with the model's own ops from
+The node-per-gate reference LSTM in ``test_bilstm.py``, the per-transition
+reference scorer in ``test_parser.py``, the optimizer tests and the per-op
+gradient suites compose these with the model's own ops from
 :mod:`jamoparse.autograd`; the package itself never builds them.
 """
+from typing import Sequence
+
 import numpy as np
 
-from jamoparse.autograd import Node, ShapeMismatchError, _accumulate, _add_at, logistic
+from jamoparse.autograd import (Node, ShapeMismatchError, _accumulate, _add_at, _affine_backward,
+                                _affine_forward, logistic)
 
 
 def constant(value, dtype=np.float64) -> Node:
@@ -103,6 +107,49 @@ def vsum(a: Node) -> Node:
 
     def backward_fn(grad):
         _accumulate(a, np.full_like(a.value, grad))
+
+    out.backward_fn = backward_fn
+    return out
+
+
+def sub(a: Node, b: Node) -> Node:
+    if a.value.shape != b.value.shape:
+        raise ShapeMismatchError("sub: %s vs %s" % (a.value.shape, b.value.shape))
+    out = Node(a.value - b.value, (a, b))
+
+    def backward_fn(grad):
+        _accumulate(a, grad)
+        _accumulate(b, -grad)
+
+    out.backward_fn = backward_fn
+    return out
+
+
+def add_n(nodes: Sequence[Node]) -> Node:
+    """Sum of same-shaped nodes; handy for accumulating loss terms."""
+    nodes = tuple(nodes)
+    if not nodes:
+        raise ValueError("add_n needs at least one node")
+    total = nodes[0].value
+    for node in nodes[1:]:
+        total = total + node.value
+    out = Node(total, nodes)
+
+    def backward_fn(grad):
+        for node in nodes:
+            _accumulate(node, grad)
+
+    out.backward_fn = backward_fn
+    return out
+
+
+def affine(pairs: Sequence[tuple[Node, Node]], bias: Node) -> Node:
+    """bias + sum of matrix @ vector over all pairs."""
+    pairs = tuple(pairs)
+    out = Node(*_affine_forward(pairs, bias))
+
+    def backward_fn(grad):
+        _affine_backward(pairs, bias, grad)
 
     out.backward_fn = backward_fn
     return out

@@ -17,18 +17,19 @@ import pytest
 
 from jamoparse import hangul
 from jamoparse import transition as T
-from jamoparse.autograd import add_n, affine, affine_tanh, concat, pick, row, stack, sub
+from jamoparse.autograd import affine_tanh, concat, pick, row, stack
 from jamoparse.cli import decompose_lines
 from jamoparse.data import (ConlluSentence, Token, build_vocabularies, evaluate,
                             is_projective, read_conllu)
 from jamoparse.encoder import SentenceEncoder, UnitConfig
 from jamoparse.model_io import TrainedModel
 from jamoparse.nn import LSTMCell, ParameterStore, bilstm
-from jamoparse.parser import TrainSettings, TransitionScorer, greedy_parse, train
+from jamoparse.parser import (TrainSettings, TransitionScorer, feature_rows, greedy_parse,
+                              train)
 from jamoparse.vocab import Vocabulary
 
 from conftest import TOY_TREEBANK, assert_gradients_match
-from graph_ops import add, matvec, mul, scale, sigmoid, tanh, vslice, vsum
+from graph_ops import add, add_n, affine, matvec, mul, scale, sigmoid, sub, tanh, vslice, vsum
 from test_parser import enumerate_projective_trees
 
 
@@ -144,13 +145,21 @@ def _full_stack_gradient_check():
     encoder = SentenceEncoder(store, config, jamo_v, char_v, word_v)
     scorer = TransitionScorer(store, config.dim_encoder, len(label_v), hidden_dim=3)
     words = ["산을", "갔다"]
+    # the gold path shift, left-arc obj, shift, right-arc root, each against a
+    # fixed wrong output, so no perturbation changes which scores the loss reads
+    path = [0, 1 + label_v.id_of("obj"), 0, 1 + len(label_v) + label_v.id_of("root")]
 
     def build():
-        encodings = encoder.encode(words)
+        encoded = encoder.encode(words)
+        table = scorer.feature_table(encoded)
         cfg = T.ParserConfiguration(len(words))
-        total = vsum(scorer.scores(cfg, encodings))
-        cfg.apply(T.SHIFT)
-        return add(total, vsum(scorer.scores(cfg, encodings)))
+        steps = []
+        for correct in path:
+            rows = feature_rows(cfg)
+            hidden, scores = scorer.scores(table, rows)
+            steps.append((rows, hidden, scores, (correct + 1) % scorer.n_outputs, correct))
+            cfg.apply(*scorer.transition_of(correct))
+        return scorer.hinge_loss(encoded, table, steps)
 
     params = [p for _, p in store.parameters()]
     assert_gradients_match(build, params, rel_tol=1e-4, step=1e-5)

@@ -3,12 +3,13 @@ import gc
 import numpy as np
 import pytest
 
-from jamoparse.autograd import (Parameter, ShapeMismatchError, add_n, affine, affine_tanh,
-                                backward, concat, pick, row, stack, sub)
+from jamoparse.autograd import (Parameter, ShapeMismatchError, affine_tanh, backward, concat,
+                                pick, row, stack)
 from jamoparse.nn import Adam, LSTMCell, ParameterStore, Sgd, bilstm, clip_gradients
 
 from conftest import assert_gradients_match
-from graph_ops import add, constant, matvec, mul, scale, sigmoid, tanh, vslice, vsum
+from graph_ops import (add, add_n, affine, constant, matvec, mul, scale, sigmoid, sub, tanh,
+                       vslice, vsum)
 
 
 def param(name, values):

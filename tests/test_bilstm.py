@@ -2,10 +2,10 @@
 import numpy as np
 import pytest
 
-from jamoparse.autograd import Parameter, add_n, affine, backward, concat, row
+from jamoparse.autograd import Parameter, backward, concat, row
 from jamoparse.nn import LSTMCell, ParameterStore, bilstm
 
-from graph_ops import add, constant, mul, sigmoid, tanh, vslice, vsum
+from graph_ops import add, add_n, affine, constant, mul, sigmoid, tanh, vslice, vsum
 
 
 def reference_step(cell, x, state):

@@ -43,6 +43,13 @@ class TestDecompose:
         assert out == ""
         assert dst.read_text(encoding="utf-8") == "a\tATOMIC\n산\tㅅ\tㅏ\tㄴ\n"
 
+    def test_input_file_byte_order_mark_is_dropped(self, tmp_path, capsys):
+        src = tmp_path / "in.txt"
+        src.write_text("\ufeff산\n", encoding="utf-8")
+        code, out, _ = run_cli(capsys, "decompose", "--input", str(src))
+        assert code == 0
+        assert out == "산\tㅅ\tㅏ\tㄴ\n"
+
     def test_no_text_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "decompose")
         assert code == 2
@@ -180,6 +187,24 @@ class TestTrainParseEval:
                                "--epochs", "1", flag, value)
         assert code == 1
         assert "error: %s" % message in err
+        assert not model_path.exists()
+
+    def test_dev_sentence_with_empty_form_exits_1_before_any_epoch(self, tmp_path, capsys,
+                                                                   toy_treebank_path):
+        lines = open(toy_treebank_path, encoding="utf-8").read().splitlines(keepends=True)
+        first_token = next(i for i, line in enumerate(lines) if line[:1].isdigit())
+        fields = lines[first_token].split("\t")
+        fields[1] = ""
+        lines[first_token] = "\t".join(fields)
+        dev_path, model_path = tmp_path / "dev.conllu", tmp_path / "m.model"
+        dev_path.write_text("".join(lines), encoding="utf-8")
+        code, out, err = run_cli(capsys, "train", "--train", toy_treebank_path,
+                                 "--dev", str(dev_path), "--model", str(model_path),
+                                 "--dim-jamo", "4", "--dim-char", "0", "--dim-word", "4",
+                                 "--dim-encoder", "8", "--hidden-dim", "4", "--epochs", "1")
+        assert code == 1
+        assert "error: dev sentence 1 has an empty form" in err
+        assert "epoch=" not in out
         assert not model_path.exists()
 
     def test_parse_accepts_unannotated_input(self, trained, tmp_path, capsys):

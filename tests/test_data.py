@@ -55,6 +55,37 @@ def test_read_skips_comments_and_subtoken_lines(tmp_path):
     assert loaded[0].forms == ["나는", "갔다"]
 
 
+@pytest.mark.parametrize("ids,line,expected,got", [
+    (["1", "3", "2"], 2, 2, "'3'"),
+    (["x", "2"], 1, 1, "'x'"),
+    (["1", "1"], 2, 2, "'1'"),
+    (["0", "1"], 1, 1, "'0'"),
+])
+def test_token_ids_must_count_up_from_one(tmp_path, ids, line, expected, got):
+    path = tmp_path / "ids.conllu"
+    path.write_text("".join("%s\tw\t_\t_\t_\t_\t0\troot\t_\t_\n" % i for i in ids),
+                    encoding="utf-8")
+    with pytest.raises(ConlluFormatError,
+                       match="line %d: expected token id %d, got %s" % (line, expected, got)):
+        read_conllu(path)
+
+
+def test_token_ids_restart_in_each_sentence(tmp_path):
+    path = tmp_path / "ids.conllu"
+    path.write_text("1\ta\t_\t_\t_\t_\t0\troot\t_\t_\n\n"
+                    "1\tb\t_\t_\t_\t_\t0\troot\t_\t_\n"
+                    "2\tc\t_\t_\t_\t_\t1\tdep\t_\t_\n", encoding="utf-8")
+    assert [s.forms for s in read_conllu(path)] == [["a"], ["b", "c"]]
+
+
+def test_byte_order_mark_before_a_comment_is_dropped(tmp_path):
+    path = tmp_path / "bom.conllu"
+    path.write_text("\ufeff# sent_id = 1\n1\t나는\t_\t_\t_\t_\t0\troot\t_\t_\n",
+                    encoding="utf-8")
+    assert path.read_bytes()[:3] == b"\xef\xbb\xbf"
+    assert read_conllu(path)[0].forms == ["나는"]
+
+
 def test_malformed_line_reports_line_number(tmp_path):
     path = tmp_path / "bad.conllu"
     path.write_text("1\tword\tmissing-columns\n", encoding="utf-8")
@@ -225,6 +256,12 @@ class TestEmbeddings:
         assert np.array_equal(table[vocab.id_of("갔다")], [1.0, 2.0])
         untouched = [i for i in range(len(vocab)) if i != vocab.id_of("갔다")]
         assert np.array_equal(table[untouched], np.zeros((len(vocab) - 1, 2)))
+
+    def test_byte_order_mark_is_not_part_of_the_first_token(self, tmp_path):
+        path = tmp_path / "vec.txt"
+        path.write_text("\ufeff나는 1.0 2.0\n", encoding="utf-8")
+        _, vectors = read_embeddings(path)
+        assert list(vectors) == ["나는"]
 
     def test_dimension_mismatch(self, tmp_path):
         path = tmp_path / "vec.txt"

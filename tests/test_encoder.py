@@ -10,7 +10,7 @@ from jamoparse.autograd import backward
 from jamoparse.vocab import UNK
 
 from conftest import assert_gradients_match
-from graph_ops import add, vsum
+from graph_ops import vsum
 
 
 def treebank_of(words):
@@ -164,10 +164,8 @@ class TestWordRepr:
 class TestSentenceEncode:
     def test_one_vector_per_word(self):
         enc, _ = make_encoder(UnitConfig(3, 2, 3, 6), CORPUS)
-        out = enc.encode(["나는", "산을", "갔다"])
-        assert len(out) == 3
-        assert all(v.value.shape == (6,) for v in out)
-        assert len(enc.encode(["갔다"])) == 1
+        assert enc.encode(["나는", "산을", "갔다"]).value.shape == (3, 6)
+        assert enc.encode(["갔다"]).value.shape == (1, 6)
 
     def test_empty_sentence_rejected(self):
         enc, _ = make_encoder(UnitConfig(3, 2, 3, 6), CORPUS)
@@ -176,8 +174,8 @@ class TestSentenceEncode:
 
     def test_oov_words_map_to_unk_at_word_tier(self):
         enc, _ = make_encoder(UnitConfig(0, 0, 4, 4), CORPUS)
-        a = [v.value for v in enc.encode(["강아지"])]
-        b = [v.value for v in enc.encode([UNK])]
+        a = enc.encode(["강아지"]).value
+        b = enc.encode([UNK]).value
         assert np.allclose(a[0], b[0])
 
     def test_oov_spelling_sensitivity_without_word_tier(self):
@@ -185,11 +183,11 @@ class TestSentenceEncode:
         enc, _ = make_encoder(UnitConfig(4, 0, 0, 4), CORPUS)
         assert "간" not in enc.word_vocab
         assert "갈" not in enc.word_vocab
-        z_n = enc.encode(["나는", "간"])
-        z_l = enc.encode(["나는", "갈"])
-        z_n2 = enc.encode(["나는", "간"])
-        assert not np.allclose(z_n[1].value, z_l[1].value)
-        assert np.array_equal(z_n[1].value, z_n2[1].value)  # control
+        z_n = enc.encode(["나는", "간"]).value
+        z_l = enc.encode(["나는", "갈"]).value
+        z_n2 = enc.encode(["나는", "간"]).value
+        assert not np.allclose(z_n[1], z_l[1])
+        assert np.array_equal(z_n[1], z_n2[1])  # control
 
     def test_matches_manual_two_layer_bilstm_oracle(self):
         # independent numpy evaluation of both sentence layers over [word_repr; word emb]
@@ -219,10 +217,10 @@ class TestSentenceEncode:
             forward = run(fwd, layer)
             backward = run(bwd, layer[::-1])[::-1]  # state i has read words i..n-1
             layer = [np.concatenate([f, b]) for f, b in zip(forward, backward)]
-        encoded = enc.encode(words)
+        encoded = enc.encode(words).value
         assert len(encoded) == len(words)
         for position, (got, expected) in enumerate(zip(encoded, layer)):
-            assert np.allclose(got.value, expected), position
+            assert np.allclose(got, expected), position
 
     def test_word_dropout_replaces_rare_words(self):
         enc, _ = make_encoder(UnitConfig(0, 0, 4, 4), CORPUS)
@@ -239,8 +237,8 @@ class TestSentenceEncode:
         unk = enc.encode([UNK])
         kept = enc.encode(["갔다"], training=True, rng=NeverDrop())
         plain = enc.encode(["갔다"])
-        assert np.allclose(dropped[0].value, unk[0].value)
-        assert np.allclose(kept[0].value, plain[0].value)
+        assert np.allclose(dropped.value, unk.value)
+        assert np.allclose(kept.value, plain.value)
 
 
 class TestAblation:
@@ -265,10 +263,7 @@ class TestAblation:
 def test_long_sentence_stays_finite_through_backward():
     enc, store = make_encoder(UnitConfig(4, 4, 4, 8), CORPUS, seed=1)
     words = (CORPUS * 7)[:40]
-    vectors = enc.encode(words)
-    total = vsum(vectors[0])
-    for v in vectors[1:]:
-        total = add(total, vsum(v))
+    total = vsum(enc.encode(words))
     assert np.all(np.isfinite(total.value))
     backward(total)
     for _, p in store.parameters():
@@ -280,12 +275,8 @@ def test_full_encoder_gradients_two_word_sentence():
     words = ["산을", "갔다"]
 
     def build():
-        # sum over every output vector so all parameters participate
-        vectors = enc.encode(words)
-        total = vsum(vectors[0])
-        for v in vectors[1:]:
-            total = add(total, vsum(v))
-        return total
+        # sum over every output row so all parameters participate
+        return vsum(enc.encode(words))
 
     params = [p for _, p in store.parameters()]
     assert_gradients_match(build, params)
@@ -295,16 +286,11 @@ def test_float32_store_keeps_encodings_and_gradients_float32():
     jamo_v, char_v, word_v, _ = build_vocabularies(treebank_of(CORPUS))
     store = ParameterStore(seed=2, dtype=np.float32)
     enc = SentenceEncoder(store, UnitConfig(3, 2, 4, 6), jamo_v, char_v, word_v)
-    vectors = enc.encode(["나는", "산을", "갔다", "ab"])
-    for v in vectors:
-        assert v.value.dtype == np.float32
-    sentence_states = vectors[0].parents[0]  # the second layer's BiLSTM node
+    # encode returns the second layer's BiLSTM node
+    sentence_states = enc.encode(["나는", "산을", "갔다", "ab"])
     assert sentence_states.value.shape == (4, 6)
     assert sentence_states.value.dtype == np.float32
-    total = vsum(vectors[0])
-    for v in vectors[1:]:
-        total = add(total, vsum(v))
-    backward(total)
+    backward(vsum(sentence_states))
     for _, p in store.parameters():
         assert p.grad.dtype == np.float32, p.name
         assert np.any(p.grad != 0.0), p.name

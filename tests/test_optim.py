@@ -12,13 +12,13 @@ import math
 import numpy as np
 import pytest
 
-from jamoparse.autograd import add_n, backward, row
+from jamoparse.autograd import backward, row
 from jamoparse.data import build_label_vocabulary, build_vocabularies, read_conllu
 from jamoparse.encoder import SentenceEncoder, UnitConfig
 from jamoparse.nn import Adam, ParameterStore, Sgd, clip_gradients
 from jamoparse.parser import TrainSettings, TransitionScorer, sentence_training_pass
 
-from graph_ops import constant, mul, vsum
+from graph_ops import add_n, constant, mul, vsum
 
 
 def reference_zero(store):

@@ -1,28 +1,32 @@
 # -*- coding: utf-8 -*-
 import copy
+import gc
 from itertools import product
 
 import numpy as np
 import pytest
 
 from jamoparse import transition as T
-from jamoparse.data import ConlluSentence, Token, build_vocabularies, evaluate, read_conllu
+from jamoparse.autograd import affine_tanh, backward, concat, pick, row
+from jamoparse.data import (ConlluSentence, Token, build_label_vocabulary, build_vocabularies,
+                            evaluate, read_conllu)
 from jamoparse.encoder import SentenceEncoder, UnitConfig
 from jamoparse.model_io import (CorruptModelError, ModelVersionError, TrainedModel,
                                 load_model, save_model)
 from jamoparse.nn import ParameterStore
-from jamoparse.parser import (MalformedTreeError, NonProjectiveError, TrainSettings,
-                              TransitionScorer, best_index, greedy_parse,
-                              sentence_training_pass, train)
+from jamoparse.parser import (MARGIN, EmptyFormError, MalformedTreeError, NonProjectiveError,
+                              TrainSettings, TransitionScorer, best_index, feature_rows,
+                              greedy_parse, sentence_training_pass, train)
 from jamoparse.vocab import Vocabulary
 
-from graph_ops import constant
+from conftest import TOY_TREEBANK
+from graph_ops import add_n, affine, constant, sub
 
 
 def sentence_loss(encoder, scorer, sentence, label_vocab, settings):
-    """Total hinge along the best-correct path, without dropout or updates."""
+    """Total hinge along the best-correct path, without dropout or exploration."""
     _, hinge_total = sentence_training_pass(
-        encoder, scorer, sentence, label_vocab, settings, rng=None, epoch=0, training=False)
+        encoder, scorer, sentence, label_vocab, settings, rng=None, epoch=0)
     return hinge_total
 
 
@@ -173,21 +177,44 @@ class TestScorer:
         scorer, store = scorer_fixture()
         for _, p in store.parameters():
             p.value.fill(0.0)
-        encodings = [constant(np.ones(4)), constant(np.full(4, -2.0))]
+        table = scorer.feature_table(constant([np.ones(4), np.full(4, -2.0)]))
         config = T.ParserConfiguration(2)
-        scores = scorer.scores(config, encodings)
-        assert np.array_equal(scores.value, np.zeros(scorer.n_outputs))
+        hidden, scores = scorer.scores(table, feature_rows(config))
+        assert np.array_equal(hidden, np.zeros(3))
+        assert np.array_equal(scores, np.zeros(scorer.n_outputs))
 
     def test_scores_finite_and_deterministic(self):
         scorer, _ = scorer_fixture(n_labels=3)
         rng = np.random.default_rng(2)
-        encodings = [constant(rng.normal(size=4)) for _ in range(3)]
+        table = scorer.feature_table(constant(rng.normal(size=(3, 4))))
         config = T.ParserConfiguration(3)
         config.apply(T.SHIFT)
-        first = scorer.scores(config, encodings).value
-        second = scorer.scores(config, encodings).value
+        first = scorer.scores(table, feature_rows(config))[1]
+        second = scorer.scores(table, feature_rows(config))[1]
         assert np.all(np.isfinite(first))
         assert np.array_equal(first, second)
+
+    def test_scores_match_straight_line_oracle(self):
+        scorer, _ = scorer_fixture(n_labels=2)
+        rng = np.random.default_rng(4)
+        encoded = rng.normal(size=(3, 4))
+        table = scorer.feature_table(constant(encoded))
+        config = T.ParserConfiguration(3)
+        config.apply(T.SHIFT)
+        config.apply(T.SHIFT)
+        # stack [root, 1, 2], buffer [3]: stack[-3] is the root, so the placeholder
+        x = np.concatenate([encoded[1], encoded[0], scorer.placeholder.value, encoded[2]])
+        hidden = np.tanh(scorer.hidden_weight.value @ x + scorer.hidden_bias.value)
+        got_hidden, got_scores = scorer.scores(table, feature_rows(config))
+        assert np.allclose(got_hidden, hidden)
+        assert np.allclose(got_scores, scorer.out_weight.value @ hidden + scorer.out_bias.value)
+
+    def test_feature_rows_use_row_zero_for_root_and_absent_slots(self):
+        config = T.ParserConfiguration(2)
+        assert feature_rows(config) == [0, 0, 0, 1]
+        config.apply(T.SHIFT)
+        config.apply(T.SHIFT)
+        assert feature_rows(config) == [2, 1, 0, 0]
 
     def test_transition_indexing_round_trips(self):
         scorer, _ = scorer_fixture(n_labels=3)
@@ -311,6 +338,93 @@ class TestTransitionChoice:
         assert without_wrong
 
 
+def reference_training_pass(encoder, scorer, sentence, label_vocab):
+    """The per-transition graph that hinge_loss replaced, on the best-correct path.
+
+    Each transition builds concat -> affine_tanh -> affine over the feature
+    vectors, each margin violation pick/pick/sub, and add_n sums them; no
+    word dropout and no exploration, as sentence_training_pass at epoch 0.
+    """
+    gold_heads = sentence.head_array()
+    gold_labels = [None] + [label_vocab.id_of(t.label) for t in sentence.tokens]
+    encoded = encoder.encode(sentence.forms)
+    vectors = [row(encoded, i) for i in range(len(sentence))]
+    config = T.ParserConfiguration(len(sentence))
+    terms = []
+    while not config.is_terminal():
+        costs = T.transition_costs(config, gold_heads)
+        slots = [config.stack[-depth] if len(config.stack) >= depth else 0 for depth in (1, 2, 3)]
+        slots.append(config.buffer[0] if config.buffer else 0)
+        features = concat([vectors[i - 1] if i else scorer.placeholder for i in slots])
+        hidden = affine_tanh([(scorer.hidden_weight, features)], scorer.hidden_bias)
+        scores = affine([(scorer.out_weight, hidden)], scorer.out_bias)
+        correct = scorer.correct_mask(config, costs, gold_heads, gold_labels)
+        best_correct = best_index(correct, scores.value)
+        best_wrong = best_index(scorer.legal_mask(config) & ~correct, scores.value)
+        if best_wrong >= 0 and MARGIN + scores.value[best_wrong] - scores.value[best_correct] > 0:
+            terms.append(sub(pick(scores, best_wrong), pick(scores, best_correct)))
+        config.apply(*scorer.transition_of(best_correct))
+    return add_n(terms) if terms else None
+
+
+def toy_treebank_model(dtype=np.float64, seed=4):
+    sentences = read_conllu(TOY_TREEBANK)
+    jamo_v, char_v, word_v, _ = build_vocabularies(sentences)
+    label_v = build_label_vocabulary(sentences)
+    store = ParameterStore(seed=seed, dtype=dtype)
+    encoder = SentenceEncoder(store, UnitConfig(8, 8, 8, 16), jamo_v, char_v, word_v)
+    scorer = TransitionScorer(store, 16, len(label_v), hidden_dim=8)
+    return sentences, encoder, scorer, label_v
+
+
+class TestHingeLoss:
+    def test_matches_per_transition_graph(self):
+        sentences, encoder, scorer, label_v = toy_treebank_model()
+        store = encoder.store
+        for sentence in sentences:
+            store.zero_gradients()
+            loss, hinge_total = sentence_training_pass(
+                encoder, scorer, sentence, label_v, TrainSettings(), rng=None, epoch=0)
+            assert len(loss.parents) == 6  # the encoder node and the five scorer parameters
+            backward(loss)
+            fused = {name: p.grad.copy() for name, p in store.parameters()}
+            store.zero_gradients()
+            reference = reference_training_pass(encoder, scorer, sentence, label_v)
+            backward(reference)
+            assert loss.value == pytest.approx(reference.value, rel=1e-10, abs=0)
+            violations = len(reference.parents)
+            assert hinge_total == pytest.approx(reference.value + MARGIN * violations, rel=1e-10)
+            for name, p in store.parameters():
+                scale = np.max(np.abs(p.grad))
+                assert np.max(np.abs(fused[name] - p.grad)) <= 1e-10 * scale, name
+            assert all(np.any(fused[name] != 0.0) for name in
+                       ("scorer/placeholder", "scorer/W1", "scorer/b1", "scorer/W2", "scorer/b2",
+                        "enc/l2_fwd/W", "word/emb"))
+
+    def test_float32_store_keeps_float32_gradients(self):
+        sentences, encoder, scorer, label_v = toy_treebank_model(dtype=np.float32)
+        loss, _ = sentence_training_pass(encoder, scorer, sentences[0], label_v,
+                                         TrainSettings(), rng=None, epoch=0)
+        assert loss.value.dtype == np.float32
+        backward(loss)
+        assert loss.parents[0].grad.dtype == np.float32
+        for name, p in encoder.store.parameters():
+            assert p.grad.dtype == np.float32, name
+
+    def test_dropped_loss_leaves_no_reference_cycles(self):
+        sentences, encoder, scorer, label_v = toy_treebank_model()
+        gc.collect()
+        gc.disable()
+        try:
+            loss, _ = sentence_training_pass(encoder, scorer, sentences[0], label_v,
+                                             TrainSettings(), rng=None, epoch=0)
+            backward(loss)
+            del loss
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+
 def toy_model(words=None, seed=0, n_labels=2, dim=4):
     words = words or ["산을", "갔다", "나는"]
     tb = [ConlluSentence([Token(w, 0, "root")]) for w in words]
@@ -411,6 +525,13 @@ class TestTraining:
         formless = ConlluSentence([Token("a", 0, "root"), Token("", 1, "d")])
         with pytest.raises(MalformedTreeError, match="sentence 2 is not a tree: empty form"):
             train([good, formless], None, TOY_CONFIG, TrainSettings(epochs=1))
+
+    def test_dev_sentence_with_empty_form_rejected_before_training(self):
+        good = ConlluSentence([Token("a", 0, "root"), Token("b", 1, "d")])
+        formless = ConlluSentence([Token("a", 0, "root"), Token("", 1, "d")])
+        with pytest.raises(EmptyFormError, match="dev sentence 2 has an empty form"):
+            train([good], [good, formless], TOY_CONFIG, TrainSettings(epochs=1),
+                  log=pytest.fail)
 
     def test_history_reports_gradient_norms(self, toy_treebank_path_module):
         sentences = read_conllu(toy_treebank_path_module)
