@@ -6,7 +6,7 @@ backward closure never holds its own output node, so a graph has no
 reference cycles and is freed by reference counting as soon as it is
 dropped, without waiting for Python's cyclic garbage collector.
 Vectors are 1-d arrays, weight matrices 2-d, scalars 0-d; a sequence node
-(see :func:`stack`) holds a 2-d ``(T, d)`` value, one row per position.
+(see :func:`gather`) holds a 2-d ``(T, d)`` value, one row per position.
 A graph is single-threaded; a finished parameter set may be shared
 read-only.
 """
@@ -40,9 +40,9 @@ class Parameter(Node):
     """Named leaf tensor with a persistent, same-shaped gradient slot.
 
     A row-tracked parameter (``track_rows``: a 2-d lookup table) keeps in
-    ``rows`` the set of row indices :func:`row` has written gradient into
+    ``rows`` the set of row indices :func:`gather` has written gradient into
     since the gradient was last cleared; its gradient is zero outside them,
-    so it must receive gradient through :func:`row` only. ``rows`` is None
+    so it must receive gradient through :func:`gather` only. ``rows`` is None
     for every other parameter.
     """
 
@@ -82,110 +82,44 @@ def logistic(x: np.ndarray) -> np.ndarray:
 
 
 def concat(parts: Sequence[Node]) -> Node:
+    """The parts side by side along their last axis.
+
+    Vectors join into one longer vector; ``(T, d_k)`` sequence nodes join
+    into one ``(T, sum of d_k)`` node, row by row.
+    """
     parts = tuple(parts)
-    out = Node(np.concatenate([p.value for p in parts]), parts)
-    sizes = [p.value.shape[0] for p in parts]
+    out = Node(np.concatenate([p.value for p in parts], axis=-1), parts)
+    sizes = [p.value.shape[-1] for p in parts]
 
     def backward_fn(grad):
         offset = 0
         for part, size in zip(parts, sizes):
-            _accumulate(part, grad[offset:offset + size])
+            _accumulate(part, grad[..., offset:offset + size])
             offset += size
 
     out.backward_fn = backward_fn
     return out
 
 
-def _add_at(node: Node, index, grad) -> None:
-    """``node.grad[index] += grad``, allocating the gradient on first use."""
-    if node.grad is None:
-        node.grad = np.zeros_like(node.value)
-    node.grad[index] += grad
+def gather(table: Node, ids) -> Node:
+    """Rows ``ids`` of a 2-d table as one ``(len(ids), d)`` node (embedding access).
 
-
-def row(table: Node, index: int) -> Node:
-    """Row lookup into a 2-d table (embedding access).
-
-    On a row-tracked :class:`Parameter` the backward pass also records the
-    row in ``table.rows``.
+    An id may repeat; each occurrence adds its gradient to the row. On a
+    row-tracked :class:`Parameter` the backward pass also records the rows
+    in ``table.rows``.
     """
-    out = Node(table.value[index], (table,))
+    ids = np.asarray(ids, dtype=np.intp)
+    out = Node(table.value[ids], (table,))
     rows = table.rows if isinstance(table, Parameter) else None
-    if rows is not None and index < 0:
-        index += table.value.shape[0]  # one id per row
+    if rows is not None:
+        ids = np.where(ids < 0, ids + table.value.shape[0], ids)  # one id per row
 
     def backward_fn(grad):
-        _add_at(table, index, grad)
+        if table.grad is None:
+            table.grad = np.zeros_like(table.value)
+        np.add.at(table.grad, ids, grad)
         if rows is not None:
-            rows.add(index)
-
-    out.backward_fn = backward_fn
-    return out
-
-
-def pick(a: Node, index) -> Node:
-    """``a.value[index]`` for a basic numpy index.
-
-    One element of a vector gives a 0-d node; ``(t, slice(...))`` reads part
-    of row ``t`` of a sequence node.
-    """
-    out = Node(a.value[index], (a,))
-
-    def backward_fn(grad):
-        _add_at(a, index, grad)
-
-    out.backward_fn = backward_fn
-    return out
-
-
-def stack(parts: Sequence[Node]) -> Node:
-    """Same-sized vectors as the rows of one sequence node."""
-    parts = tuple(parts)
-    out = Node(np.stack([p.value for p in parts]), parts)
-
-    def backward_fn(grad):
-        for part, part_grad in zip(parts, grad):
-            _accumulate(part, part_grad)
-
-    out.backward_fn = backward_fn
-    return out
-
-
-def _affine_forward(pairs: tuple, bias: Node) -> tuple[np.ndarray, tuple[Node, ...]]:
-    """Checked ``bias + sum of matrix @ vector`` over all pairs, and the parent nodes."""
-    if bias.value.ndim != 1:
-        raise ShapeMismatchError("affine: bias must be a vector, got %s" % (bias.value.shape,))
-    pre = bias.value.copy()
-    for i, (w, x) in enumerate(pairs):
-        if (w.value.ndim != 2 or x.value.ndim != 1
-                or w.value.shape[1] != x.value.shape[0]):
-            raise ShapeMismatchError(
-                "affine: pair %d has %s @ %s" % (i, w.value.shape, x.value.shape))
-        if w.value.shape[0] != bias.value.shape[0]:
-            raise ShapeMismatchError(
-                "affine: pair %d rows %d != bias size %d"
-                % (i, w.value.shape[0], bias.value.shape[0]))
-        pre += w.value @ x.value
-    return pre, tuple(n for pair in pairs for n in pair) + (bias,)
-
-
-def _affine_backward(pairs: tuple, bias: Node, grad) -> None:
-    """Accumulate gradients of the pre-activation ``grad`` into weights, inputs and bias."""
-    for w, x in pairs:
-        _accumulate(w, np.outer(grad, x.value))
-        _accumulate(x, w.value.T @ grad)
-    _accumulate(bias, grad)
-
-
-def affine_tanh(pairs: Sequence[tuple[Node, Node]], bias: Node) -> Node:
-    """tanh of :func:`affine`, as one node; the pre-activation is not retained."""
-    pairs = tuple(pairs)
-    pre, parents = _affine_forward(pairs, bias)
-    val = np.tanh(pre)
-    out = Node(val, parents)
-
-    def backward_fn(grad):
-        _affine_backward(pairs, bias, grad * (1.0 - val * val))
+            rows.update(ids.tolist())
 
     out.backward_fn = backward_fn
     return out

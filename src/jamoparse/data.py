@@ -1,6 +1,7 @@
 """Treebank ingestion, corpus statistics, embedding files, and attachment scores."""
 from __future__ import annotations
 
+import re
 import unicodedata
 from collections import Counter
 from dataclasses import dataclass, field
@@ -46,14 +47,19 @@ class ConlluSentence:
         return [None] + [t.head for t in self.tokens]
 
 
+#: IDs of lines the reader skips: multiword ranges N-M and empty nodes N.M.
+_SKIPPED_ID = re.compile(r"[0-9]+-[0-9]+|[0-9]+\.[0-9]+")
+
+
 def read_conllu(path, allow_missing_heads: bool = False) -> list[ConlluSentence]:
     """Parse a 10-column CoNLL-U / CoNLL-X file.
 
     Multiword ranges (1-2) and empty nodes (1.1) are skipped, comment lines
-    ignored, blank lines separate sentences; every other line's ID must be
-    the next integer of its sentence (1, 2, ...). Head `_` is only accepted
-    when ``allow_missing_heads`` is set (unannotated input for parsing). A
-    leading UTF-8 byte-order mark is dropped.
+    ignored, blank lines separate sentences; every other line's ID (``-``
+    and ``x.y`` included) must be the next integer of its sentence (1, 2,
+    ...). Head `_` is only accepted when ``allow_missing_heads`` is set
+    (unannotated input for parsing). A leading UTF-8 byte-order mark is
+    dropped.
     """
     sentences: list[ConlluSentence] = []
     current: list[Token] = []
@@ -72,8 +78,8 @@ def read_conllu(path, allow_missing_heads: bool = False) -> list[ConlluSentence]
                 raise ConlluFormatError(
                     "line %d: expected 10 tab-separated columns, got %d" % (lineno, len(fields)))
             token_id = fields[0]
-            if "-" in token_id or "." in token_id:
-                continue  # multiword range / empty node
+            if _SKIPPED_ID.fullmatch(token_id):
+                continue
             if token_id != str(len(current) + 1):
                 raise ConlluFormatError("line %d: expected token id %d, got %r"
                                         % (lineno, len(current) + 1, token_id))

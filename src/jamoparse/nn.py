@@ -53,7 +53,7 @@ class ParameterStore:
         """Lookup table, uniform ±0.01 rows.
 
         A new table is row-tracked (see :class:`Parameter`): read it through
-        ``autograd.row`` only. A table bound from a loaded store stays dense.
+        ``autograd.gather`` only. A table bound from a loaded store stays dense.
         """
         if name in self._params:
             return self._existing(name, (rows, dim))
@@ -104,7 +104,7 @@ class LSTMCell:
     One fused weight matrix of shape (4*hidden, input+hidden) plus a bias;
     gate blocks are ordered input, forget, cell candidate, output. The
     first ``input_dim`` columns act on the input, the rest on the previous
-    hidden state. Sequences run through :func:`bilstm`.
+    hidden state. Sequences, one or a packed batch, run through :func:`bilstm`.
     """
 
     def __init__(self, store: ParameterStore, prefix: str, input_dim: int, hidden_dim: int):
@@ -115,107 +115,151 @@ class LSTMCell:
         self.dtype = store.dtype
 
     def step(self, gates_x: np.ndarray, hidden: np.ndarray, memory: np.ndarray):
-        """One time step on plain arrays; builds no graph node.
+        """One time step of a batch of sequences on plain arrays; builds no graph node.
 
-        ``gates_x`` is this step's input projection plus the bias (4*hidden
-        values). Returns the activated gates, the new hidden state and the
-        new memory.
+        ``gates_x`` holds each sequence's input projection plus the bias, shape
+        (B, 4*hidden); ``hidden`` and ``memory`` its previous states, shape
+        (B, hidden). One sequence may also come as 1-d arrays. Returns the
+        activated gates, the new hidden states and the new memories.
         """
-        pre = self.weights.value[:, self.input_dim:] @ hidden
+        pre = hidden @ self.weights.value[:, self.input_dim:].T
         pre += gates_x
         gates = logistic(pre)
         n = self.hidden_dim
-        np.tanh(pre[2 * n:3 * n], out=gates[2 * n:3 * n])
-        gate_in, gate_forget, candidate, gate_out = gates.reshape(4, n)
+        np.tanh(pre[..., 2 * n:3 * n], out=gates[..., 2 * n:3 * n])
+        gate_in, gate_forget, candidate, gate_out = (gates[..., k * n:(k + 1) * n]
+                                                     for k in range(4))
         memory = gate_forget * memory
         memory += gate_in * candidate
         return gates, gate_out * np.tanh(memory), memory
 
 
-def bilstm(fwd: LSTMCell, bwd: LSTMCell, inputs: Node) -> Node:
-    """Both directions of a BiLSTM over the rows of ``inputs``, as one node.
+def bilstm(fwd: LSTMCell, bwd: LSTMCell, inputs: Node, lengths=None) -> Node:
+    """Both directions of a BiLSTM over sequences stored in the rows of ``inputs``, as one node.
 
-    Row i of the (T, fwd.hidden_dim + bwd.hidden_dim) value is ``fwd``'s
-    hidden state after reading rows 0..i, then ``bwd``'s after reading rows
-    T-1..i. Each direction projects every input row with one GEMM and calls
-    :meth:`LSTMCell.step` once per row; the backward pass runs
-    backpropagation through time on arrays and accumulates each weight
-    gradient with one GEMM per sequence.
+    The sequences are consecutive runs of rows, ``lengths`` rows each and
+    longest first; None is one sequence over all the rows. Row i of the
+    (N, fwd.hidden_dim + bwd.hidden_dim) value is ``fwd``'s hidden state
+    after reading its sequence up to row i, then ``bwd``'s after reading it
+    back from the end to row i. All sequences run as one packed batch: step
+    t calls :meth:`LSTMCell.step` once on the B_t sequences longer than t,
+    which the sort makes the first B_t. Each direction projects every input
+    row with one GEMM; the backward pass runs backpropagation through time
+    over the same shrinking blocks and accumulates each weight gradient with
+    one GEMM.
     """
     x = inputs.value
     for cell in (fwd, bwd):
         if x.ndim != 2 or x.shape[1] != cell.input_dim:
             raise ShapeMismatchError(
                 "lstm input has shape %s, expected (T, %d)" % (x.shape, cell.input_dim))
-    ahead = _lstm_forward(fwd, x)
-    behind = _lstm_forward(bwd, x[::-1])
-    # hidden states after each step; the backward direction's back in input order
-    value = np.concatenate([ahead[1][1:], behind[1][:0:-1]], axis=1)
-    out = Node(value, (inputs, fwd.weights, fwd.bias, bwd.weights, bwd.bias))
+    lengths = np.array([x.shape[0]] if lengths is None else lengths, dtype=np.intp)
+    if (lengths.ndim != 1 or np.any(lengths < 1) or lengths.sum() != x.shape[0]
+            or np.any(lengths[1:] > lengths[:-1])):
+        raise ValueError("sequence lengths %s must be positive, longest first and sum to %d"
+                         % (lengths.tolist(), x.shape[0]))
+    ahead_rows, behind_rows, sizes, previous = _packing(lengths)
+    ahead = _lstm_forward(fwd, x[ahead_rows], sizes)
+    behind = _lstm_forward(bwd, x[behind_rows], sizes)
     split = fwd.hidden_dim
+    value = np.empty((x.shape[0], split + bwd.hidden_dim), dtype=x.dtype)
+    value[ahead_rows, :split] = ahead[1][:-1]
+    value[behind_rows, split:] = behind[1][:-1]
+    out = Node(value, (inputs, fwd.weights, fwd.bias, bwd.weights, bwd.bias))
 
     def backward_fn(grad):
-        d_x = _lstm_backward(fwd, x, *ahead, grad[:, :split])
-        d_x += _lstm_backward(bwd, x[::-1], *behind, grad[::-1, split:])[::-1]
+        d_x = np.empty_like(x)
+        d_x[ahead_rows] = _lstm_backward(fwd, x[ahead_rows], sizes, previous, *ahead,
+                                         grad[ahead_rows, :split])
+        d_x[behind_rows] += _lstm_backward(bwd, x[behind_rows], sizes, previous, *behind,
+                                           grad[behind_rows, split:])
         _accumulate(inputs, d_x)
 
     out.backward_fn = backward_fn
     return out
 
 
-def _lstm_forward(cell: LSTMCell, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One direction over the rows of ``x``.
+def _packing(lengths: np.ndarray):
+    """The packed, step-major layout of sequences with sorted ``lengths``.
 
-    Returns the activated gates, shape (T, 4, hidden), then the hidden and
-    the memory states, each of shape (T + 1, hidden) with the zero state in
-    row 0.
+    Block t holds one row per sequence longer than t, in sequence order.
+    Returns the input row each packed row reads in the forward direction
+    (``start + t``) and in the backward one (``start + length - 1 - t``),
+    the block sizes, and each packed row's previous state: its own
+    sequence's row in block t - 1, or row N (the zero state) in block 0.
     """
-    steps, n = x.shape[0], cell.hidden_dim
+    longer = lengths > np.arange(lengths[0] if lengths.size else 0)[:, None]
+    step, sequence = np.nonzero(longer)
+    sizes = np.count_nonzero(longer, axis=1)
+    starts = np.cumsum(lengths) - lengths
+    offsets = np.cumsum(sizes) - sizes
+    ahead = starts[sequence] + step
+    behind = starts[sequence] + lengths[sequence] - 1 - step
+    previous = np.where(step > 0, offsets[step - 1] + sequence, len(step))
+    return ahead, behind, sizes, previous
+
+
+def _lstm_forward(cell: LSTMCell, x: np.ndarray, sizes: np.ndarray):
+    """One direction over the packed rows ``x``, in blocks of ``sizes`` rows.
+
+    Returns the activated gates, shape (N, 4, hidden), then the hidden and
+    the memory states, each of shape (N + 1, hidden) with the zero state in
+    the last row.
+    """
+    rows, n = x.shape[0], cell.hidden_dim
     gates_x = x @ cell.weights.value[:, :cell.input_dim].T
     gates_x += cell.bias.value
-    gates = np.empty((steps, 4 * n), dtype=cell.dtype)
-    states = np.zeros((2, steps + 1, n), dtype=cell.dtype)
-    hiddens, memories = states
-    hidden, memory = hiddens[0], memories[0]
+    gates = np.empty((rows, 4 * n), dtype=cell.dtype)
+    hiddens, memories = np.zeros((2, rows + 1, n), dtype=cell.dtype)
+    hidden = memory = np.zeros((sizes[0] if sizes.size else 0, n), dtype=cell.dtype)
     step = cell.step
-    for t in range(steps):
-        gates[t], hidden, memory = step(gates_x[t], hidden, memory)
-        hiddens[t + 1] = hidden
-        memories[t + 1] = memory
-    return gates.reshape(steps, 4, n), hiddens, memories
+    start = 0
+    for size in sizes.tolist():
+        stop = start + size
+        gates[start:stop], hidden, memory = step(gates_x[start:stop], hidden[:size],
+                                                 memory[:size])
+        hiddens[start:stop] = hidden
+        memories[start:stop] = memory
+        start = stop
+    return gates.reshape(rows, 4, n), hiddens, memories
 
 
-def _lstm_backward(cell: LSTMCell, x: np.ndarray, gates: np.ndarray, hiddens: np.ndarray,
-                   memories: np.ndarray, d_hidden: np.ndarray) -> np.ndarray:
+def _lstm_backward(cell: LSTMCell, x: np.ndarray, sizes: np.ndarray, previous: np.ndarray,
+                   gates: np.ndarray, hiddens: np.ndarray, memories: np.ndarray,
+                   d_hidden: np.ndarray) -> np.ndarray:
     """Backpropagation through time for one direction of :func:`bilstm`.
 
-    ``d_hidden`` is the gradient of every hidden state, in the order the
-    cell read ``x``. Adds the weight and bias gradients to the cell's
-    parameters and returns the gradient of ``x``.
+    ``x`` and ``d_hidden`` (the gradient of every hidden state) are in the
+    packed order :func:`_lstm_forward` read; ``d_hidden`` is overwritten.
+    Adds the weight and bias gradients to the cell's parameters and returns
+    the gradient of ``x``, in the same order.
     """
-    steps, n = d_hidden.shape
+    rows, n = d_hidden.shape
     gate_in, gate_forget, candidate, gate_out = gates.transpose(1, 0, 2)
-    tanh_memory = np.tanh(memories[1:])
+    tanh_memory = np.tanh(memories[:-1])
     # d pre-activation = slope * (d memory for the first three gates, d hidden for the last)
     slope = gates * (1.0 - gates)
     slope[:, 2] = 1.0 - candidate * candidate
-    slope *= np.stack([candidate, memories[:-1], gate_in, tanh_memory], axis=1)
+    slope *= np.stack([candidate, memories[previous], gate_in, tanh_memory], axis=1)
     through_tanh = gate_out * (1.0 - tanh_memory * tanh_memory)
     recurrent = cell.weights.value[:, cell.input_dim:]
     d_gates = np.empty_like(gates)
-    d_h = d_hidden[-1]
-    d_c = d_h * through_tanh[-1]
-    for t in range(steps - 1, -1, -1):
-        np.multiply(slope[t, :3], d_c, out=d_gates[t, :3])
-        np.multiply(slope[t, 3], d_h, out=d_gates[t, 3])
-        if t == 0:
-            break
-        d_h = d_gates[t].reshape(4 * n) @ recurrent
-        d_h += d_hidden[t - 1]
-        d_c *= gate_forget[t]
-        d_c += d_h * through_tanh[t - 1]
-    d_gates = d_gates.reshape(steps, 4 * n)
-    _accumulate(cell.weights, d_gates.T @ np.concatenate([x, hiddens[:-1]], axis=1))
+    stop = rows
+    later = 0  # rows in the block after this one: their sequences continue it
+    d_c_later = None
+    for size in sizes.tolist()[::-1]:
+        start = stop - size
+        d_h = d_hidden[start:stop]
+        if later:
+            d_h[:later] += d_gates[stop:stop + later].reshape(later, 4 * n) @ recurrent
+        d_c = d_h * through_tanh[start:stop]
+        if later:
+            d_c[:later] += d_c_later * gate_forget[stop:stop + later]
+        np.multiply(slope[start:stop, :3], d_c[:, None], out=d_gates[start:stop, :3])
+        np.multiply(slope[start:stop, 3], d_h, out=d_gates[start:stop, 3])
+        stop, later, d_c_later = start, size, d_c
+    d_gates = d_gates.reshape(rows, 4 * n)
+    _accumulate(cell.weights, d_gates.T @ np.concatenate([x, hiddens[previous]], axis=1))
     _accumulate(cell.bias, d_gates.sum(axis=0))
     return d_gates @ cell.weights.value[:, :cell.input_dim]
 

@@ -1,16 +1,71 @@
 """Graph ops that only the tests build: oracles for the fused model ops.
 
-The node-per-gate reference LSTM in ``test_bilstm.py``, the per-transition
-reference scorer in ``test_parser.py``, the optimizer tests and the per-op
-gradient suites compose these with the model's own ops from
+The node-per-gate reference LSTM in ``test_bilstm.py``, the per-word
+reference char tier in ``test_encoder.py``, the per-transition reference
+scorer in ``test_parser.py``, the optimizer tests and the per-op gradient
+suites compose these with the model's own ops from
 :mod:`jamoparse.autograd`; the package itself never builds them.
 """
 from typing import Sequence
 
 import numpy as np
 
-from jamoparse.autograd import (Node, ShapeMismatchError, _accumulate, _add_at, _affine_backward,
-                                _affine_forward, logistic)
+from jamoparse.autograd import Node, Parameter, ShapeMismatchError, _accumulate, logistic
+
+
+def _add_at(node: Node, index, grad) -> None:
+    """``node.grad[index] += grad``, allocating the gradient on first use."""
+    if node.grad is None:
+        node.grad = np.zeros_like(node.value)
+    node.grad[index] += grad
+
+
+def row(table: Node, index: int) -> Node:
+    """Row lookup into a 2-d table (one-row ``gather``).
+
+    On a row-tracked :class:`Parameter` the backward pass also records the
+    row in ``table.rows``.
+    """
+    out = Node(table.value[index], (table,))
+    rows = table.rows if isinstance(table, Parameter) else None
+    if rows is not None and index < 0:
+        index += table.value.shape[0]  # one id per row
+
+    def backward_fn(grad):
+        _add_at(table, index, grad)
+        if rows is not None:
+            rows.add(index)
+
+    out.backward_fn = backward_fn
+    return out
+
+
+def pick(a: Node, index) -> Node:
+    """``a.value[index]`` for a basic numpy index.
+
+    One element of a vector gives a 0-d node; ``(t, slice(...))`` reads part
+    of row ``t`` of a sequence node.
+    """
+    out = Node(a.value[index], (a,))
+
+    def backward_fn(grad):
+        _add_at(a, index, grad)
+
+    out.backward_fn = backward_fn
+    return out
+
+
+def stack(parts: Sequence[Node]) -> Node:
+    """Same-sized vectors as the rows of one sequence node."""
+    parts = tuple(parts)
+    out = Node(np.stack([p.value for p in parts]), parts)
+
+    def backward_fn(grad):
+        for part, part_grad in zip(parts, grad):
+            _accumulate(part, part_grad)
+
+    out.backward_fn = backward_fn
+    return out
 
 
 def constant(value, dtype=np.float64) -> Node:
@@ -143,6 +198,32 @@ def add_n(nodes: Sequence[Node]) -> Node:
     return out
 
 
+def _affine_forward(pairs: tuple, bias: Node) -> tuple[np.ndarray, tuple[Node, ...]]:
+    """Checked ``bias + sum of matrix @ vector`` over all pairs, and the parent nodes."""
+    if bias.value.ndim != 1:
+        raise ShapeMismatchError("affine: bias must be a vector, got %s" % (bias.value.shape,))
+    pre = bias.value.copy()
+    for i, (w, x) in enumerate(pairs):
+        if (w.value.ndim != 2 or x.value.ndim != 1
+                or w.value.shape[1] != x.value.shape[0]):
+            raise ShapeMismatchError(
+                "affine: pair %d has %s @ %s" % (i, w.value.shape, x.value.shape))
+        if w.value.shape[0] != bias.value.shape[0]:
+            raise ShapeMismatchError(
+                "affine: pair %d rows %d != bias size %d"
+                % (i, w.value.shape[0], bias.value.shape[0]))
+        pre += w.value @ x.value
+    return pre, tuple(n for pair in pairs for n in pair) + (bias,)
+
+
+def _affine_backward(pairs: tuple, bias: Node, grad) -> None:
+    """Accumulate gradients of the pre-activation ``grad`` into weights, inputs and bias."""
+    for w, x in pairs:
+        _accumulate(w, np.outer(grad, x.value))
+        _accumulate(x, w.value.T @ grad)
+    _accumulate(bias, grad)
+
+
 def affine(pairs: Sequence[tuple[Node, Node]], bias: Node) -> Node:
     """bias + sum of matrix @ vector over all pairs."""
     pairs = tuple(pairs)
@@ -150,6 +231,20 @@ def affine(pairs: Sequence[tuple[Node, Node]], bias: Node) -> Node:
 
     def backward_fn(grad):
         _affine_backward(pairs, bias, grad)
+
+    out.backward_fn = backward_fn
+    return out
+
+
+def affine_tanh(pairs: Sequence[tuple[Node, Node]], bias: Node) -> Node:
+    """tanh of :func:`affine`, as one node; the pre-activation is not retained."""
+    pairs = tuple(pairs)
+    pre, parents = _affine_forward(pairs, bias)
+    val = np.tanh(pre)
+    out = Node(val, parents)
+
+    def backward_fn(grad):
+        _affine_backward(pairs, bias, grad * (1.0 - val * val))
 
     out.backward_fn = backward_fn
     return out

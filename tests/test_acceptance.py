@@ -17,7 +17,7 @@ import pytest
 
 from jamoparse import hangul
 from jamoparse import transition as T
-from jamoparse.autograd import affine_tanh, concat, pick, row, stack
+from jamoparse.autograd import concat, gather
 from jamoparse.cli import decompose_lines
 from jamoparse.data import (ConlluSentence, Token, build_vocabularies, evaluate,
                             is_projective, read_conllu)
@@ -29,7 +29,8 @@ from jamoparse.parser import (TrainSettings, TransitionScorer, feature_rows, gre
 from jamoparse.vocab import Vocabulary
 
 from conftest import TOY_TREEBANK, assert_gradients_match
-from graph_ops import add, add_n, affine, matvec, mul, scale, sigmoid, sub, tanh, vslice, vsum
+from graph_ops import (add, add_n, affine, affine_tanh, matvec, mul, pick, row, scale, sigmoid,
+                       stack, sub, tanh, vslice, vsum)
 from test_parser import enumerate_projective_trees
 
 
@@ -116,6 +117,7 @@ def _per_operation_gradient_suite():
         (lambda: vsum(add_n([tanh(a), mul(a, b)])), [a, b]),
         (lambda: vsum(tanh(affine([(w, a), (w, b)], bias))), [w, a, b, bias]),
         (lambda: vsum(affine_tanh([(w, a)], bias)), [w, a, bias]),
+        (lambda: vsum(tanh(concat([e, gather(e, [2, 0, 2])]))), [e]),
     ]
     for build, params in cases:
         assert_gradients_match(build, params, rel_tol=1e-4, step=1e-5)
@@ -131,6 +133,14 @@ def _per_operation_gradient_suite():
 
     assert_gradients_match(lstm_build, [cell.weights, cell.bias, back.weights, back.bias,
                                         x1, x2], rel_tol=1e-4, step=1e-5)
+    # and over a packed batch of two sequences, three steps and one
+    x3 = P("x3", rng.normal(size=3))
+
+    def packed_build():
+        return vsum(tanh(bilstm(cell, back, stack([x1, x2, x3, x1]), [3, 1])))
+
+    assert_gradients_match(packed_build, [cell.weights, cell.bias, back.weights, back.bias,
+                                          x1, x2, x3], rel_tol=1e-4, step=1e-5)
 
 
 def _full_stack_gradient_check():

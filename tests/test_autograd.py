@@ -3,13 +3,12 @@ import gc
 import numpy as np
 import pytest
 
-from jamoparse.autograd import (Parameter, ShapeMismatchError, affine_tanh, backward, concat,
-                                pick, row, stack)
+from jamoparse.autograd import Parameter, ShapeMismatchError, backward, concat, gather
 from jamoparse.nn import Adam, LSTMCell, ParameterStore, Sgd, bilstm, clip_gradients
 
 from conftest import assert_gradients_match
-from graph_ops import (add, add_n, affine, constant, matvec, mul, scale, sigmoid, sub, tanh,
-                       vslice, vsum)
+from graph_ops import (add, add_n, affine, affine_tanh, constant, matvec, mul, pick, row, scale,
+                       sigmoid, stack, sub, tanh, vslice, vsum)
 
 
 def param(name, values):
@@ -63,7 +62,8 @@ def test_affine_shape_error_names_pair():
 
 @pytest.mark.parametrize("op_name", [
     "add", "sub", "mul", "tanh", "sigmoid", "scale", "matvec", "concat",
-    "vslice", "row", "pick", "vsum", "affine", "affine_tanh", "add_n",
+    "vslice", "row", "pick", "vsum", "affine", "affine_tanh", "add_n", "gather",
+    "concat_rows",
 ])
 def test_per_op_gradients(op_name):
     rng = np.random.default_rng(hash(op_name) % 2**32)
@@ -88,6 +88,8 @@ def test_per_op_gradients(op_name):
         "affine": (lambda: vsum(tanh(affine([(w, a)], bias))), [w, a, bias]),
         "affine_tanh": (lambda: vsum(affine_tanh([(w, a), (w, b)], bias)), [w, a, b, bias]),
         "add_n": (lambda: vsum(add_n([tanh(a), mul(a, b), b])), [a, b]),
+        "gather": (lambda: vsum(tanh(mul(gather(e, [2, 0, 2, -1]), w))), [e, w]),
+        "concat_rows": (lambda: vsum(tanh(concat([w, gather(e, [1, 0, 1, 2])]))), [w, e]),
     }
     build, params = builders[op_name]
     assert_gradients_match(build, params)
@@ -154,6 +156,30 @@ def test_dropped_graph_leaves_no_reference_cycles():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_gather_records_the_rows_row_would():
+    store = ParameterStore(seed=0)
+    batched, single = store.embedding("batched", 6, 3), store.embedding("single", 6, 3)
+    single.value[:] = batched.value
+    ids = [4, 1, 4, -1, 0]
+    upstream = np.random.default_rng(0).normal(size=(len(ids), 3))
+    gathered = gather(batched, ids)
+    assert np.array_equal(gathered.value, batched.value[ids])
+    backward(vsum(mul(gathered, constant(upstream))))
+    backward(add_n([vsum(mul(row(single, i), constant(u))) for i, u in zip(ids, upstream)]))
+    assert batched.rows == single.rows == {0, 1, 4, 5}
+    np.testing.assert_allclose(batched.grad, single.grad, rtol=1e-15)
+
+
+def test_concat_joins_sequence_nodes_row_by_row():
+    x = param("x", np.arange(6.0).reshape(3, 2))
+    y = param("y", np.arange(3.0).reshape(3, 1))
+    joined = concat([x, y])
+    assert np.array_equal(joined.value, np.hstack([x.value, y.value]))
+    backward(vsum(mul(joined, constant(np.arange(9.0).reshape(3, 3)))))
+    assert np.array_equal(x.grad, [[0.0, 1.0], [3.0, 4.0], [6.0, 7.0]])
+    assert np.array_equal(y.grad, [[2.0], [5.0], [8.0]])
 
 
 class TestLSTM:

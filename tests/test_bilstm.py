@@ -2,10 +2,10 @@
 import numpy as np
 import pytest
 
-from jamoparse.autograd import Parameter, backward, concat, row
+from jamoparse.autograd import Parameter, backward, concat
 from jamoparse.nn import LSTMCell, ParameterStore, bilstm
 
-from graph_ops import add, add_n, affine, constant, mul, sigmoid, tanh, vslice, vsum
+from graph_ops import add, add_n, affine, constant, mul, row, sigmoid, tanh, vslice, vsum
 
 
 def reference_step(cell, x, state):
@@ -88,3 +88,57 @@ def test_step_is_called_once_per_direction_and_position(monkeypatch):
     assert calls.count(fwd) == 5
     assert calls.count(bwd) == 5
 
+
+
+@pytest.mark.parametrize("lengths", [[1], [3, 3], [5, 3, 3, 1], [4, 2, 1, 1, 1]])
+def test_packed_sequences_match_one_call_per_sequence(lengths):
+    rng = np.random.default_rng(sum(lengths))
+    store = ParameterStore(seed=len(lengths))
+    fwd, bwd = LSTMCell(store, "fwd", 3, 2), LSTMCell(store, "bwd", 3, 4)
+    for cell in (fwd, bwd):
+        cell.bias.value[:] = rng.normal(size=cell.bias.value.shape)
+    x = Parameter("x", rng.normal(size=(sum(lengths), 3)))
+    weight = rng.normal(size=(sum(lengths), 6))
+    params = [fwd.weights, fwd.bias, bwd.weights, bwd.bias, x]
+
+    packed = bilstm(fwd, bwd, x, lengths)
+    backward(vsum(mul(packed, constant(weight))))
+    packed_grads = gradients(params)
+    for p in params:
+        p.grad.fill(0.0)
+
+    starts = np.cumsum(lengths) - lengths
+    pieces = [vslice(x, start, start + length) for start, length in zip(starts, lengths)]
+    separate = [bilstm(fwd, bwd, piece) for piece in pieces]
+    backward(add_n([vsum(mul(states, constant(weight[start:start + len(states.value)])))
+                    for start, states in zip(starts, separate)]))
+    separate_grads = gradients(params)
+
+    expected = np.concatenate([states.value for states in separate])
+    assert np.max(np.abs(packed.value - expected)) <= 1e-12
+    for p, got, want in zip(params, packed_grads, separate_grads):
+        np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-15, err_msg=p.name)
+
+
+def test_step_runs_once_per_packed_step_on_the_sequences_still_running(monkeypatch):
+    blocks = []
+    original = LSTMCell.step
+
+    def recording(self, gates_x, hidden, memory):
+        blocks.append((self, hidden.shape[0]))
+        return original(self, gates_x, hidden, memory)
+
+    monkeypatch.setattr(LSTMCell, "step", recording)
+    store = ParameterStore(seed=0)
+    fwd, bwd = LSTMCell(store, "fwd", 2, 2), LSTMCell(store, "bwd", 2, 2)
+    bilstm(fwd, bwd, constant(np.ones((8, 2))), [4, 3, 1])
+    assert [size for cell, size in blocks if cell is fwd] == [3, 2, 2, 1]
+    assert [size for cell, size in blocks if cell is bwd] == [3, 2, 2, 1]
+
+
+@pytest.mark.parametrize("lengths", [[1, 2], [2, 0], [2, 2], [4, 1, -1]])
+def test_lengths_must_be_positive_sorted_and_cover_the_rows(lengths):
+    store = ParameterStore(seed=0)
+    fwd, bwd = LSTMCell(store, "fwd", 2, 2), LSTMCell(store, "bwd", 2, 2)
+    with pytest.raises(ValueError, match="lengths"):
+        bilstm(fwd, bwd, constant(np.ones((3, 2))), lengths)

@@ -1,4 +1,5 @@
 # -*- coding: utf-8 -*-
+import re
 from itertools import combinations
 
 import numpy as np
@@ -53,6 +54,17 @@ def test_read_skips_comments_and_subtoken_lines(tmp_path):
     loaded = read_conllu(path)
     assert len(loaded) == 1
     assert loaded[0].forms == ["나는", "갔다"]
+
+
+@pytest.mark.parametrize("bad_id", ["-", "x.y", "1-", "-2", ".1", "1.", "1-2-3", "1.x", "a-b"])
+def test_only_digit_ranges_and_empty_nodes_are_skipped(tmp_path, bad_id):
+    path = tmp_path / "ids.conllu"
+    path.write_text("1\ta\t_\t_\t_\t_\t0\troot\t_\t_\n"
+                    "%s\tb\t_\t_\t_\t_\t1\tdep\t_\t_\n"
+                    "2\td\t_\t_\t_\t_\t1\tdep\t_\t_\n" % bad_id, encoding="utf-8")
+    with pytest.raises(ConlluFormatError,
+                       match="line 2: expected token id 2, got %s" % re.escape(repr(bad_id))):
+        read_conllu(path)
 
 
 @pytest.mark.parametrize("ids,line,expected,got", [

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from jamoparse import transition as T
-from jamoparse.autograd import affine_tanh, backward, concat, pick, row
+from jamoparse.autograd import backward, concat
 from jamoparse.data import (ConlluSentence, Token, build_label_vocabulary, build_vocabularies,
                             evaluate, read_conllu)
 from jamoparse.encoder import SentenceEncoder, UnitConfig
@@ -20,7 +20,7 @@ from jamoparse.parser import (MARGIN, EmptyFormError, MalformedTreeError, NonPro
 from jamoparse.vocab import Vocabulary
 
 from conftest import TOY_TREEBANK
-from graph_ops import add_n, affine, constant, sub
+from graph_ops import add_n, affine, affine_tanh, constant, pick, row, sub
 
 
 def sentence_loss(encoder, scorer, sentence, label_vocab, settings):
