@@ -51,7 +51,7 @@ class Parameter(Node):
     def __init__(self, name: str, value: np.ndarray, track_rows: bool = False):
         super().__init__(value)
         self.name = name
-        self.grad = np.zeros_like(value)
+        self.grad = np.zeros(value.shape, dtype=value.dtype)  # pages stay untouched until written
         self.rows = set() if track_rows else None
 
     def __repr__(self):

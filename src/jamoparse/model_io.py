@@ -176,8 +176,8 @@ def load_model(path) -> TrainedModel:
     if version != FORMAT_VERSION:
         raise ModelVersionError(
             "model format version %d, this build reads %d" % (version, FORMAT_VERSION))
-    body, digest = blob[:-_DIGEST_BYTES], blob[-_DIGEST_BYTES:]
-    if hashlib.sha256(body).digest() != digest:
+    body = memoryview(blob)[:-_DIGEST_BYTES]  # a view: the parameters are copied once, below
+    if hashlib.sha256(body).digest() != blob[-_DIGEST_BYTES:]:
         raise CorruptModelError("checksum mismatch (truncated or corrupted file)")
 
     cursor = newline + 1
@@ -203,12 +203,13 @@ def load_model(path) -> TrainedModel:
     for entry in header["parameters"]:
         shape = tuple(entry["shape"])
         dtype = np.dtype(entry["dtype"])
-        nbytes = int(np.prod(shape, dtype=np.int64)) * dtype.itemsize
-        chunk = blob[cursor:cursor + nbytes]
-        if len(chunk) != nbytes:
+        count = int(np.prod(shape, dtype=np.int64))
+        if cursor + count * dtype.itemsize > len(body):
             raise CorruptModelError("parameter %r is truncated" % entry["name"])
-        store.add_raw(entry["name"], np.frombuffer(chunk, dtype=dtype).reshape(shape).copy())
-        cursor += nbytes
+        # a read-only view of the file; add_raw makes the one writeable copy
+        store.add_raw(entry["name"], np.frombuffer(body, dtype=dtype, count=count,
+                                                   offset=cursor).reshape(shape))
+        cursor += count * dtype.itemsize
     if cursor != len(body):
         raise CorruptModelError("trailing bytes after parameters")
     store.dtype = np.dtype(header["parameters"][0]["dtype"]) if header["parameters"] else store.dtype

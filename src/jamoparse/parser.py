@@ -305,7 +305,7 @@ def train(train_sentences: list[ConlluSentence],
     jamo_vocab, char_vocab, word_vocab, _ = build_vocabularies(train_sentences)
     label_vocab = build_label_vocabulary(train_sentences)
     if embedding_vectors and expand_vocabulary:
-        word_vocab.add_tokens(t for t in embedding_vectors if t not in word_vocab)
+        word_vocab.add_tokens(embedding_vectors)
 
     dtype = np.float32 if settings.float32 else np.float64
     store = ParameterStore(seed=settings.seed, dtype=dtype)
@@ -316,6 +316,7 @@ def train(train_sentences: list[ConlluSentence],
             raise ValueError("pre-trained embeddings need dim_word > 0")
         from .data import load_embeddings
         load_embeddings(embedding_vectors, word_vocab, store["word/emb"].value)
+    store.dense()  # pack the arena here, in set-up, rather than inside the first update
 
     optimizer = make_optimizer(settings.optimizer, settings.learning_rate)
     rng = store.rng  # one seeded stream drives init, shuffling, dropout, exploration

@@ -1,11 +1,15 @@
-"""Row-sparse zero/clip/step against the full-sweep optimizer they replace.
+"""Arena and row-sparse zero/clip/step against the full-sweep optimizer they replace.
 
 The reference functions below are the dense implementations: every
 gradient slot is read, scaled and cleared on every update, and Adam masks
-each tensor with ``grad != 0``. The clip norm sums a row-tracked table's
-rows that hold any nonzero gradient, in increasing order, and every other
-parameter's full array. The sparse path must match them bit for bit on
-values, moments, step counters and returned norms.
+each tensor with ``grad != 0``. The clip norm sums the dense gradients in
+the arena's layout (creation order, each parameter starting on an
+``ALIGN``-byte boundary, ``CHUNK``-element pieces in order), then a
+row-tracked table's rows that hold any nonzero gradient, in increasing
+order. Adam takes the reordered step of Kingma & Ba 2015 (section 2). The
+sparse path must match them bit for bit on values, moments, step counters
+and returned norms; ``LegacyAdam``, the step before it was reordered, must
+agree with it to rounding.
 """
 import math
 
@@ -15,7 +19,7 @@ import pytest
 from jamoparse.autograd import backward
 from jamoparse.data import build_label_vocabulary, build_vocabularies, read_conllu
 from jamoparse.encoder import SentenceEncoder, UnitConfig
-from jamoparse.nn import Adam, ParameterStore, Sgd, clip_gradients
+from jamoparse.nn import ALIGN, CHUNK, Adam, ParameterStore, Sgd, clip_gradients
 from jamoparse.parser import TrainSettings, TransitionScorer, sentence_training_pass
 
 from graph_ops import add_n, constant, mul, row, vsum
@@ -35,10 +39,25 @@ def reference_square_sum(param):
     return float(np.sum(grad * grad))
 
 
-def reference_clip(store, max_norm):
-    total = 0.0
+def reference_dense_grads(store):
+    """Every dense gradient, in creation order, each starting on an ALIGN-byte boundary."""
+    pieces, end = [], 0
     for _, param in store.parameters():
-        total += reference_square_sum(param)
+        if param.rows is None:
+            pad = -end % (ALIGN // param.grad.itemsize)
+            pieces += [np.zeros(pad, dtype=param.grad.dtype), param.grad.ravel()]
+            end += pad + param.grad.size
+    return np.concatenate(pieces)
+
+
+def reference_clip(store, max_norm):
+    dense = reference_dense_grads(store)
+    total = 0.0
+    for start in range(0, dense.size, CHUNK):
+        total += float(np.sum(dense[start:start + CHUNK] ** 2))
+    for _, param in store.parameters():
+        if param.rows is not None:
+            total += reference_square_sum(param)
     norm = math.sqrt(total)
     if norm > max_norm and norm > 0.0:
         factor = max_norm / norm
@@ -81,10 +100,22 @@ class ReferenceAdam:
             g = grad[mask]
             m[mask] = self.beta1 * m[mask] + (1.0 - self.beta1) * g
             v[mask] = self.beta2 * v[mask] + (1.0 - self.beta2) * g * g
-            m_hat = m[mask] / (1.0 - self.beta1 ** t)
-            v_hat = v[mask] / (1.0 - self.beta2 ** t)
-            param.value[mask] -= self.learning_rate * m_hat / (np.sqrt(v_hat) + self.epsilon)
+            self._descend(param.value, m, v, mask, t)
         reference_zero(store)
+
+    def _descend(self, value, m, v, mask, t):
+        correction = math.sqrt(1.0 - self.beta2 ** t)
+        alpha_t = self.learning_rate * correction / (1.0 - self.beta1 ** t)
+        value[mask] -= alpha_t * m[mask] / (np.sqrt(v[mask]) + self.epsilon * correction)
+
+
+class LegacyAdam(ReferenceAdam):
+    """The bias-corrected step as written before it was reordered."""
+
+    def _descend(self, value, m, v, mask, t):
+        m_hat = m[mask] / (1.0 - self.beta1 ** t)
+        v_hat = v[mask] / (1.0 - self.beta2 ** t)
+        value[mask] -= self.learning_rate * m_hat / (np.sqrt(v_hat) + self.epsilon)
 
 
 TABLE_ROWS, TABLE_DIM = 300, 7
@@ -97,6 +128,7 @@ def make_store(dtype):
     store.matrix("w", 6, 9)
     store.matrix("w_zero_rows", 8, 5)
     store.vector("b", 6)
+    store.matrix("big", 130, 140)  # more than one CHUNK-element piece
     store.matrix("dead", 4, 4)  # dense, never receives gradient
     return store
 
@@ -111,9 +143,12 @@ def random_update(rng, dtype):
         lookups[1][1][2] = 0.0  # an exact zero inside a row looked up once
     w_zero_rows = rng.standard_normal((8, 5)).astype(dtype)
     w_zero_rows[rng.random(8) < 0.5] = 0.0  # whole rows without gradient
+    big = rng.standard_normal((130, 140)).astype(dtype)
+    big[rng.random(130) < 0.3] = 0.0  # zero rows in both pieces
     dense = {"w": rng.standard_normal((6, 9)).astype(dtype) * rng.choice([0.01, 1.0, 30.0]),
              "w_zero_rows": w_zero_rows,
-             "b": rng.standard_normal(6).astype(dtype)}
+             "b": rng.standard_normal(6).astype(dtype),
+             "big": big}
     return lookups, dense
 
 
@@ -133,10 +168,10 @@ def assert_same_state(store, ref_store, opt, ref_opt):
         assert np.array_equal(param.grad, ref_param.grad), name
         assert not np.any(param.grad), name
     assert opt._t == ref_opt._t
-    assert sorted(opt._m) == sorted(ref_opt._m)
-    for name in ref_opt._m:
-        assert np.array_equal(opt._m[name], ref_opt._m[name]), name
-        assert np.array_equal(opt._v[name], ref_opt._v[name]), name
+    assert set(ref_opt._m) <= set(opt._m)
+    for name in opt._m:  # a dense parameter's moments exist, zero, before its first step
+        assert np.array_equal(opt._m[name], ref_opt._m.get(name, 0 * opt._m[name])), name
+        assert np.array_equal(opt._v[name], ref_opt._v.get(name, 0 * opt._v[name])), name
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
@@ -149,6 +184,8 @@ def test_adam_and_clip_match_full_sweep(dtype):
         lookups, dense = random_update(rng, dtype)
         if step == 5:
             dense = {}  # an update where only the table has gradient
+        if step == 7:
+            dense["big"][:118] = 0.0  # the first piece holds no gradient
         feed(store, lookups, dense)
         feed(ref_store, lookups, dense)
         max_norm = [0.5, 5.0, 1e6][step % 3]
@@ -159,8 +196,80 @@ def test_adam_and_clip_match_full_sweep(dtype):
         ref_opt.step(ref_store)
         assert_same_state(store, ref_store, opt, ref_opt)
     assert fired >= 4
-    assert "dead" not in opt._m and "emb_unused" not in opt._m
-    assert opt._t["emb"] == 12 and opt._t["w"] == 11
+    assert "dead" not in opt._t and "emb_unused" not in opt._m
+    assert opt._t["emb"] == 12 and opt._t["w"] == 11 and opt._t["big"] == 11
+
+
+def test_reordered_adam_agrees_with_the_legacy_step():
+    # the same 12 updates through both arithmetics differ by rounding only
+    rng = np.random.default_rng(11)
+    store, legacy_store = make_store(np.float64), make_store(np.float64)
+    opt, legacy = Adam(learning_rate=0.01), LegacyAdam(learning_rate=0.01)
+    for step in range(12):
+        lookups, dense = random_update(rng, np.float64)
+        feed(store, lookups, dense)
+        feed(legacy_store, lookups, dense)
+        max_norm = [0.5, 5.0, 1e6][step % 3]
+        clip_gradients(store, max_norm)
+        reference_clip(legacy_store, max_norm)
+        opt.step(store)
+        legacy.step(legacy_store)
+    moved = 0
+    for (name, param), (_, old) in zip(store.parameters(), legacy_store.parameters()):
+        assert np.all(np.abs(param.value - old.value) <= 1e-12 * np.abs(old.value)), name
+        moved += np.count_nonzero(param.value != old.value)
+    assert moved  # the two arithmetics are not the same
+
+
+def test_dense_parameters_are_views_of_one_arena():
+    store = make_store(np.float64)
+    before = store.state_dict()
+    values, grads, segments = store.dense()
+    assert store.dense()[0] is values  # packed once
+    assert [name for name, _ in segments] == [name for name, p in store.parameters()
+                                              if p.rows is None]
+    for name, part in segments:
+        param = store[name]
+        assert np.shares_memory(param.value, values[part]), name
+        assert np.shares_memory(param.grad, grads[part]), name
+        assert param.value.ctypes.data % ALIGN == 0 and param.grad.ctypes.data % ALIGN == 0
+        assert np.array_equal(param.value, before[name]), name
+    for name, table in store.tables():
+        assert not np.shares_memory(table.value, values), name
+    store["w"].grad += 1.0
+    assert np.sum(grads) == store["w"].grad.size
+    store.zero_gradients()
+    assert not np.any(store["w"].grad)
+
+
+def test_load_state_dict_writes_through_the_arena():
+    store = make_store(np.float32)
+    values, _, segments = store.dense()
+    state = {name: np.full(p.value.shape, k, dtype=np.float32)
+             for k, (name, p) in enumerate(store.parameters(), start=1)}
+    store.load_state_dict(state)
+    for name, part in segments:
+        assert np.array_equal(values[part], state[name].ravel()), name
+
+
+def test_dense_parameter_added_after_packing_raises():
+    store = make_store(np.float64)
+    store.dense()
+    for add in (lambda: store.matrix("late", 2, 2), lambda: store.vector("late", 2),
+                lambda: store.add_raw("late", np.ones(2))):
+        with pytest.raises(RuntimeError):
+            add()
+    assert "late" not in store
+    assert store.matrix("w", 6, 9) is store["w"]  # binding an existing one still works
+    assert store.embedding("late/emb", 3, 2).rows == set()  # tables stay outside the arena
+
+
+def test_dense_parameters_of_mixed_dtypes_do_not_pack():
+    store = ParameterStore(seed=0)
+    store.matrix("w", 2, 3)
+    store.add_raw("w32", np.ones((2, 3), dtype=np.float32))
+    with pytest.raises(ValueError):
+        store.dense()
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])

@@ -578,6 +578,29 @@ class TestTraining:
             model.store["scorer/b2"].value /= 200.0
         assert total == 0.0
 
+    def test_each_update_clips_steps_and_zeroes_once(self, toy_treebank_path_module,
+                                                      monkeypatch):
+        # the traced benchmark times these three entry points separately
+        from jamoparse import nn, parser
+        calls = {"clip": 0, "step": 0, "zero": 0}
+
+        def counted(key, function):
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return function(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(parser, "clip_gradients", counted("clip", parser.clip_gradients))
+        monkeypatch.setattr(nn.Adam, "step", counted("step", nn.Adam.step))
+        monkeypatch.setattr(nn.ParameterStore, "zero_gradients",
+                            counted("zero", nn.ParameterStore.zero_gradients))
+        sentences = read_conllu(toy_treebank_path_module)
+        settings = TrainSettings(epochs=1, seed=9, hidden_dim=8)
+        config = UnitConfig(dim_jamo=8, dim_char=0, dim_word=8, dim_encoder=16)
+        updates = train(sentences, None, config, settings).history[0]["updates"]
+        assert updates > 0
+        assert calls == {"clip": updates, "step": updates, "zero": updates}
+
     def test_same_seed_reproduces_history_and_parameters(self, toy_treebank_path_module):
         sentences = read_conllu(toy_treebank_path_module)
         settings = TrainSettings(epochs=3, seed=7, learning_rate=0.01, hidden_dim=16)
@@ -641,6 +664,16 @@ class TestModelIO:
         save_model(model, first)
         save_model(load_model(first), second)
         assert first.read_bytes() == second.read_bytes()
+
+    def test_loaded_parameters_are_writeable_separate_copies(self, overfit_result, tmp_path):
+        _, result = overfit_result
+        path = tmp_path / "model.bin"
+        save_model(TrainedModel.from_training(result), path)
+        params = [p for _, p in load_model(path).store.parameters()]
+        for i, param in enumerate(params):
+            assert param.value.flags.writeable and param.value.flags.owndata, param.name
+            assert not np.any(param.grad), param.name
+            assert not any(np.shares_memory(param.value, other.value) for other in params[:i])
 
     def test_truncated_file_is_corrupt(self, overfit_result, tmp_path):
         _, result = overfit_result
