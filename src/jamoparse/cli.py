@@ -8,14 +8,18 @@ from collections import Counter
 from . import data, hangul
 from .encoder import UnitConfig
 from .model_io import TrainedModel, load_model, save_model
-from .parser import TrainSettings, train
+from .nn import OPTIMIZERS
+from .parser import ORACLES, TrainSettings, train
 
 
 def _add_dims(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--dim-jamo", type=int, default=100, help="jamo tier size (0 disables)")
-    sub.add_argument("--dim-char", type=int, default=100, help="character tier size (0 disables)")
-    sub.add_argument("--dim-word", type=int, default=100, help="word tier size (0 disables)")
-    sub.add_argument("--dim-encoder", type=int, default=250,
+    sub.add_argument("--dim-jamo", type=int, default=UnitConfig.dim_jamo,
+                     help="jamo tier size (0 disables)")
+    sub.add_argument("--dim-char", type=int, default=UnitConfig.dim_char,
+                     help="character tier size (0 disables)")
+    sub.add_argument("--dim-word", type=int, default=UnitConfig.dim_word,
+                     help="word tier size (0 disables)")
+    sub.add_argument("--dim-encoder", type=int, default=UnitConfig.dim_encoder,
                      help="total context-vector size over both directions (even)")
 
 
@@ -29,15 +33,16 @@ def build_arg_parser() -> argparse.ArgumentParser:
     cmd.add_argument("--dev", metavar="FILE", help="dev treebank for per-epoch model selection")
     cmd.add_argument("--model", required=True, metavar="FILE", help="output model path")
     _add_dims(cmd)
-    cmd.add_argument("--epochs", type=int, default=30)
-    cmd.add_argument("--seed", type=int, default=42)
+    cmd.add_argument("--epochs", type=int, default=TrainSettings.epochs)
+    cmd.add_argument("--seed", type=int, default=TrainSettings.seed)
     cmd.add_argument("--embeddings", metavar="FILE", help="pre-trained word vectors (text)")
     cmd.add_argument("--no-expand-vocab", action="store_true",
                      help="do not add embedding-file words to the vocabulary")
-    cmd.add_argument("--oracle", choices=("dynamic", "static"), default="dynamic")
-    cmd.add_argument("--optimizer", choices=("adam", "sgd"), default="adam")
-    cmd.add_argument("--learning-rate", type=float, default=1e-3)
-    cmd.add_argument("--hidden-dim", type=int, default=100, help="scorer hidden layer size")
+    cmd.add_argument("--oracle", choices=ORACLES, default=TrainSettings.oracle)
+    cmd.add_argument("--optimizer", choices=OPTIMIZERS, default=TrainSettings.optimizer)
+    cmd.add_argument("--learning-rate", type=float, default=TrainSettings.learning_rate)
+    cmd.add_argument("--hidden-dim", type=int, default=TrainSettings.hidden_dim,
+                     help="scorer hidden layer size")
     cmd.add_argument("--float32", action="store_true", help="train in 32-bit floats")
     cmd.set_defaults(func=cmd_train)
 
@@ -75,10 +80,8 @@ def cmd_train(args) -> int:
         warning = data.root_count_warning(sentence)
         if warning is not None:
             print("warning: sentence %d: %s" % (num, warning), file=sys.stderr)
-        # a sentence check_tree rejects is reported once, in the skip counts below
-        reason = data.check_tree(sentence)
-        if reason is None and not data.is_projective(sentence):
-            reason = "non-projective"
+        # a sentence training cannot use is reported once, in the skip counts below
+        reason = data.untrainable_reason(sentence)
         if reason is None:
             usable.append(sentence)
         else:

@@ -192,6 +192,14 @@ def is_projective(sentence: ConlluSentence) -> bool:
     return True
 
 
+def untrainable_reason(sentence: ConlluSentence) -> str | None:
+    """Why training cannot use ``sentence``: a check_tree reason, "non-projective", or None."""
+    reason = check_tree(sentence)
+    if reason is None and not is_projective(sentence):
+        return "non-projective"
+    return reason
+
+
 @dataclass
 class CorpusStats:
     """Unit-type counts over a training split, with Korean-only sub-counts."""

@@ -167,19 +167,19 @@ class SentenceEncoder:
                         self._char_inputs("".join(words[i] for i in order)), lengths)
         return _read_words(states, first, last, self.char_out, self.char_out_bias)
 
-    def _word_id(self, word: str, training: bool, rng) -> int:
+    def _word_id(self, word: str, rng) -> int:
         idx = self.word_vocab.id_of(word)
-        if training and rng is not None:
+        if rng is not None:
             freq = self.word_vocab.count_of(word)
             if rng.random() < WORD_DROPOUT_ALPHA / (WORD_DROPOUT_ALPHA + freq):
                 return self.word_vocab.unk_id
         return idx
 
-    def encode(self, words: list[str], training: bool = False, rng=None) -> Node:
+    def encode(self, words: list[str], rng=None) -> Node:
         """Context vectors as one ``(len(words), dim_encoder)`` node, row i for word i.
 
-        ``training`` enables frequency-based word dropout at the lookup
-        tier (sub-word tiers always see the real spelling).
+        Given an ``rng``, frequency-based word dropout draws from it at the
+        lookup tier (sub-word tiers always see the real spelling).
         """
         if not words:
             raise ValueError("cannot encode an empty sentence")
@@ -187,7 +187,7 @@ class SentenceEncoder:
         if self.config.uses_chars:
             parts.append(self.word_repr(words))
         if self.config.dim_word > 0:
-            parts.append(gather(self.word_emb, [self._word_id(w, training, rng) for w in words]))
+            parts.append(gather(self.word_emb, [self._word_id(w, rng) for w in words]))
         sequence = parts[0] if len(parts) == 1 else concat(parts)
         for fwd, bwd in ((self.layer1_fwd, self.layer1_bwd), (self.layer2_fwd, self.layer2_bwd)):
             sequence = bilstm(fwd, bwd, sequence)

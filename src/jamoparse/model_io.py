@@ -145,8 +145,10 @@ def _check_header(header) -> None:
                 field + ".tokens", "a list of strings")
         require(isinstance(counts, dict) and all(_is_int(c, 0) for c in counts.values()),
                 field + ".counts", "an object of non-negative ints")
+    require(bool(vocabularies["label"]["tokens"]), "vocabularies.label.tokens", "non-empty")
     manifest = header["parameters"]
-    require(isinstance(manifest, list), "parameters", "a list")
+    require(isinstance(manifest, list) and bool(manifest), "parameters", "a non-empty list")
+    dtypes = ("float32", "float64")  # then the first entry's: a store holds one dtype
     for i, entry in enumerate(manifest):
         field = "parameters[%d]" % i
         require(isinstance(entry, dict), field, "an object")
@@ -154,8 +156,8 @@ def _check_header(header) -> None:
         shape = entry.get("shape")
         require(isinstance(shape, list) and all(_is_int(d, 0) for d in shape),
                 field + ".shape", "a list of non-negative ints")
-        require(entry.get("dtype") in ("float32", "float64"), field + ".dtype",
-                "float32 or float64")
+        require(entry.get("dtype") in dtypes, field + ".dtype", " or ".join(dtypes))
+        dtypes = (entry["dtype"],)
 
 
 def load_model(path) -> TrainedModel:
@@ -199,10 +201,10 @@ def load_model(path) -> TrainedModel:
     config = UnitConfig.from_dict(header["config"])
     vocabs = {kind: Vocabulary.from_dict(payload)
               for kind, payload in header["vocabularies"].items()}
-    store = ParameterStore(seed=header["seed"])
+    store = ParameterStore(seed=header["seed"], dtype=header["parameters"][0]["dtype"])
+    dtype = store.dtype  # the one dtype _check_header allows
     for entry in header["parameters"]:
         shape = tuple(entry["shape"])
-        dtype = np.dtype(entry["dtype"])
         count = int(np.prod(shape, dtype=np.int64))
         if cursor + count * dtype.itemsize > len(body):
             raise CorruptModelError("parameter %r is truncated" % entry["name"])
@@ -212,7 +214,6 @@ def load_model(path) -> TrainedModel:
         cursor += count * dtype.itemsize
     if cursor != len(body):
         raise CorruptModelError("trailing bytes after parameters")
-    store.dtype = np.dtype(header["parameters"][0]["dtype"]) if header["parameters"] else store.dtype
     model = TrainedModel(config, vocabs["jamo"], vocabs["char"], vocabs["word"],
                          vocabs["label"], store, header["hidden_dim"])
     # binding the encoder and scorer re-checks every shape against the vocabularies

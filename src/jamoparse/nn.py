@@ -10,6 +10,7 @@ from .autograd import Node, Parameter, ShapeMismatchError, _accumulate, logistic
 
 ALIGN = 64  # bytes: every arena segment starts on a cache line
 CHUNK = 16384  # elements per optimizer pass: a piece's operands stay in cache between ufuncs
+BETA1, BETA2, EPSILON = 0.9, 0.999, 1e-8  # Adam's moment decays and denominator guard
 
 
 def _aligned_zeros(size: int, dtype) -> np.ndarray:
@@ -17,7 +18,6 @@ def _aligned_zeros(size: int, dtype) -> np.ndarray:
 
     ``np.zeros`` leaves its pages untouched until they are written.
     """
-    dtype = np.dtype(dtype)
     raw = np.zeros(size + ALIGN // dtype.itemsize, dtype=dtype)
     skip = (-raw.ctypes.data % ALIGN) // dtype.itemsize
     return raw[skip:skip + size]
@@ -78,10 +78,13 @@ class ParameterStore:
         return self._register(name, value, track_rows=True)
 
     def add_raw(self, name: str, value: np.ndarray) -> Parameter:
-        """Insert a copy of a pre-built array (deserialisation path)."""
+        """Insert a copy of a pre-built array of the store's dtype (deserialisation path)."""
         if name in self._params:
             raise ValueError("duplicate parameter %r" % name)
-        return self._register(name, np.array(value, dtype=value.dtype))
+        if value.dtype != self.dtype:
+            raise ValueError("parameter %r is %s, the store holds %s"
+                             % (name, value.dtype, self.dtype))
+        return self._register(name, np.array(value))
 
     def __contains__(self, name: str) -> bool:
         return name in self._params
@@ -114,18 +117,13 @@ class ParameterStore:
         """
         if self._arena is None:
             dense = [(name, p) for name, p in self._params.items() if p.rows is None]
-            dtypes = {p.value.dtype for _, p in dense} or {self.dtype}
-            if len(dtypes) > 1:
-                raise ValueError("dense parameters of dtypes %s cannot share an arena"
-                                 % sorted(map(str, dtypes)))
-            dtype = dtypes.pop()
-            align = ALIGN // dtype.itemsize
+            align = ALIGN // self.dtype.itemsize
             segments, end = [], 0
             for name, param in dense:
                 start = -(-end // align) * align
                 end = start + param.value.size
                 segments.append((name, slice(start, end)))
-            values, grads = _aligned_zeros(end, dtype), _aligned_zeros(end, dtype)
+            values, grads = _aligned_zeros(end, self.dtype), _aligned_zeros(end, self.dtype)
             for (_, param), (_, part) in zip(dense, segments):
                 values[part] = param.value.reshape(-1)
                 grads[part] = param.grad.reshape(-1)
@@ -165,7 +163,6 @@ class LSTMCell:
         self.hidden_dim = hidden_dim
         self.weights = store.matrix(prefix + "/W", 4 * hidden_dim, input_dim + hidden_dim)
         self.bias = store.vector(prefix + "/b", 4 * hidden_dim)
-        self.dtype = store.dtype
 
     def step(self, gates_x: np.ndarray, hidden: np.ndarray, memory: np.ndarray):
         """One time step of a batch of sequences on plain arrays; builds no graph node.
@@ -262,9 +259,9 @@ def _lstm_forward(cell: LSTMCell, x: np.ndarray, sizes: np.ndarray):
     rows, n = x.shape[0], cell.hidden_dim
     gates_x = x @ cell.weights.value[:, :cell.input_dim].T
     gates_x += cell.bias.value
-    gates = np.empty((rows, 4 * n), dtype=cell.dtype)
-    hiddens, memories = np.zeros((2, rows + 1, n), dtype=cell.dtype)
-    hidden = memory = np.zeros((sizes[0] if sizes.size else 0, n), dtype=cell.dtype)
+    gates = np.empty((rows, 4 * n), dtype=x.dtype)
+    hiddens, memories = np.zeros((2, rows + 1, n), dtype=x.dtype)
+    hidden = memory = np.zeros((sizes[0] if sizes.size else 0, n), dtype=x.dtype)
     step = cell.step
     start = 0
     for size in sizes.tolist():
@@ -317,30 +314,29 @@ def _lstm_backward(cell: LSTMCell, x: np.ndarray, sizes: np.ndarray, previous: n
     return d_gates @ cell.weights.value[:, :cell.input_dim]
 
 
-def live_index(param: Parameter):
-    """Where ``param.grad`` can be nonzero: ``...`` for a dense parameter,
-    the sorted touched rows of a row-tracked table.
+def live_index(table: Parameter) -> np.ndarray:
+    """The sorted touched rows of a row-tracked table: where its gradient can be nonzero.
 
     Zero, clip, SGD and Adam read and write a table's
     ``grad[live_index(table)]`` and the same entries of its value and
     moments, so an update costs the dense arena plus the rows the sentence
     used.
     """
-    if param.rows is None:
-        return ...
-    return np.array(sorted(param.rows), dtype=np.intp)
+    return np.array(sorted(table.rows), dtype=np.intp)
 
 
 class Sgd:
     """Plain stochastic gradient descent."""
 
-    def __init__(self, learning_rate: float = 0.1):
+    def __init__(self, learning_rate: float):
         self.learning_rate = learning_rate
 
     def step(self, store: ParameterStore) -> None:
-        for _, param in store.parameters():
-            live = live_index(param)
-            param.value[live] -= self.learning_rate * param.grad[live]
+        values, grads, _ = store.dense()
+        values -= self.learning_rate * grads
+        for _, table in store.tables():
+            live = live_index(table)
+            table.value[live] -= self.learning_rate * table.grad[live]
         store.zero_gradients()
 
 
@@ -352,21 +348,18 @@ class Adam:
     only when that parameter receives gradient. The step is the reordered
     one of Kingma & Ba 2015 (section 2): ``value -= alpha_t m / (sqrt(v) +
     eps_hat)`` with ``alpha_t = lr sqrt(1 - beta2^t) / (1 - beta1^t)`` and
-    ``eps_hat = eps sqrt(1 - beta2^t)``. The moments of the dense
-    parameters live in two arenas laid out like the store's (see
-    :meth:`ParameterStore.dense`), and each segment is stepped in
+    ``eps_hat = eps sqrt(1 - beta2^t)``, with ``BETA1``, ``BETA2`` and
+    ``EPSILON``. The moments of the dense parameters live in two arenas
+    laid out like the store's (see :meth:`ParameterStore.dense`), a
+    table's in two arrays of its shape. Each arena segment is stepped in
     ``CHUNK``-element pieces that stay in cache across the arithmetic;
     a table steps its :func:`live_index` rows only. Every entry sees the
     same arithmetic as a full sweep masked with ``grad != 0``, so the
     results are bit-identical to one.
     """
 
-    def __init__(self, learning_rate: float = 1e-3, beta1: float = 0.9,
-                 beta2: float = 0.999, epsilon: float = 1e-8):
+    def __init__(self, learning_rate: float):
         self.learning_rate = learning_rate
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.epsilon = epsilon
         self._arena = None  # the store's value arena, then the two moment arenas
         self._m: dict[str, np.ndarray] = {}
         self._v: dict[str, np.ndarray] = {}
@@ -375,11 +368,7 @@ class Adam:
     def step(self, store: ParameterStore) -> None:
         values, grads, segments = store.dense()
         if self._arena is None:
-            m, v = (_aligned_zeros(values.size, values.dtype) for _ in range(2))
-            self._arena = values, m, v
-            for name, part in segments:
-                shape = store[name].value.shape
-                self._m[name], self._v[name] = m[part].reshape(shape), v[part].reshape(shape)
+            self._arena = values, *(_aligned_zeros(values.size, values.dtype) for _ in range(2))
         elif self._arena[0] is not values:
             raise ValueError("an Adam instance steps the parameters of one store")
         _, m, v = self._arena
@@ -415,25 +404,25 @@ class Adam:
                 continue
             if t is None:
                 t = self._t[name] = self._t.get(name, 0) + 1
-                correction = math.sqrt(1.0 - self.beta2 ** t)
-                alpha_t = self.learning_rate * correction / (1.0 - self.beta1 ** t)
-                eps_hat = self.epsilon * correction
+                correction = math.sqrt(1.0 - BETA2 ** t)
+                alpha_t = self.learning_rate * correction / (1.0 - BETA1 ** t)
+                eps_hat = EPSILON * correction
             self._apply(value[part], g, m[part], v[part], alpha_t, eps_hat, where)
         return t is not None
 
     def _apply(self, value, grad, m, v, alpha_t: float, eps_hat: float, where) -> None:
         """Step ``value`` and the moments in place where ``where`` holds.
 
-        ``m = beta1 m + (1 - beta1) g``, ``v = beta2 v + (1 - beta2) g g``,
+        ``m = BETA1 m + (1 - BETA1) g``, ``v = BETA2 v + (1 - BETA2) g g``,
         ``value -= alpha_t m / (sqrt(v) + eps_hat)``.
         """
         scratch = np.empty_like(grad)
         step = np.empty_like(grad)
-        np.multiply(m, self.beta1, out=m, where=where)
-        np.multiply(grad, 1.0 - self.beta1, out=scratch, where=where)
+        np.multiply(m, BETA1, out=m, where=where)
+        np.multiply(grad, 1.0 - BETA1, out=scratch, where=where)
         np.add(m, scratch, out=m, where=where)
-        np.multiply(v, self.beta2, out=v, where=where)
-        np.multiply(grad, 1.0 - self.beta2, out=scratch, where=where)
+        np.multiply(v, BETA2, out=v, where=where)
+        np.multiply(grad, 1.0 - BETA2, out=scratch, where=where)
         np.multiply(scratch, grad, out=scratch, where=where)
         np.add(v, scratch, out=v, where=where)
         np.multiply(m, alpha_t, out=step, where=where)
@@ -471,9 +460,5 @@ def clip_gradients(store: ParameterStore, max_norm: float) -> float:
     return norm
 
 
-def make_optimizer(kind: str, learning_rate: float):
-    if kind == "adam":
-        return Adam(learning_rate=learning_rate)
-    if kind == "sgd":
-        return Sgd(learning_rate=learning_rate)
-    raise ValueError("unknown optimizer %r" % kind)
+#: Every optimizer by name; each is built from a learning rate alone.
+OPTIMIZERS = {"adam": Adam, "sgd": Sgd}

@@ -8,10 +8,10 @@ import numpy as np
 
 from . import transition as T
 from .autograd import Node, _accumulate, backward
-from .data import (ConlluSentence, Token, build_label_vocabulary, build_vocabularies, check_tree,
-                   evaluate, is_projective)
+from .data import (ConlluSentence, Token, build_label_vocabulary, build_vocabularies, evaluate,
+                   untrainable_reason)
 from .encoder import SentenceEncoder, UnitConfig
-from .nn import ParameterStore, clip_gradients, make_optimizer
+from .nn import OPTIMIZERS, ParameterStore, clip_gradients
 from .vocab import Vocabulary
 
 
@@ -33,6 +33,8 @@ MARGIN = 1.0
 EXPLORATION = 0.1
 #: Global L2 norm gradients are clipped to before each update.
 CLIP_NORM = 5.0
+#: Training oracles: "dynamic" explores, "static" follows the gold transitions.
+ORACLES = ("dynamic", "static")
 
 
 @dataclass
@@ -44,7 +46,7 @@ class TrainSettings:
     optimizer: str = "adam"
     learning_rate: float = 1e-3
     hidden_dim: int = 100
-    oracle: str = "dynamic"  # or "static"
+    oracle: str = "dynamic"  # one of ORACLES
     explore_from_epoch: int = 2
     float32: bool = False
 
@@ -55,9 +57,9 @@ class TrainSettings:
             raise ValueError("hidden_dim must be positive")
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise ValueError("learning_rate must be a finite positive number")
-        if self.optimizer not in ("adam", "sgd"):
+        if self.optimizer not in OPTIMIZERS:
             raise ValueError("unknown optimizer %r" % self.optimizer)
-        if self.oracle not in ("dynamic", "static"):
+        if self.oracle not in ORACLES:
             raise ValueError("unknown oracle %r" % self.oracle)
 
 
@@ -73,8 +75,7 @@ class TransitionScorer:
     this layout.
     """
 
-    def __init__(self, store: ParameterStore, dim_encoder: int, n_labels: int,
-                 hidden_dim: int = 100):
+    def __init__(self, store: ParameterStore, dim_encoder: int, n_labels: int, hidden_dim: int):
         self.n_labels = n_labels
         self.n_outputs = 1 + 2 * n_labels
         self.placeholder = store.vector("scorer/placeholder", dim_encoder)
@@ -225,7 +226,7 @@ def sentence_training_pass(encoder, scorer, sentence: ConlluSentence,
     forms = sentence.forms
     gold_heads = sentence.head_array()
     gold_labels = [None] + [label_vocab.id_of(t.label) for t in sentence.tokens]
-    encoded = encoder.encode(forms, training=True, rng=rng)
+    encoded = encoder.encode(forms, rng)
     table = scorer.feature_table(encoded)
     config = T.ParserConfiguration(len(forms))
     violations = []
@@ -293,11 +294,11 @@ def train(train_sentences: list[ConlluSentence],
     if not train_sentences:
         raise ValueError("empty training treebank")
     for num, sentence in enumerate(train_sentences, start=1):
-        problem = check_tree(sentence)
+        problem = untrainable_reason(sentence)
+        if problem == "non-projective":
+            raise NonProjectiveError("training sentence %d is non-projective" % num)
         if problem is not None:
             raise MalformedTreeError("training sentence %d is not a tree: %s" % (num, problem))
-        if not is_projective(sentence):
-            raise NonProjectiveError("training sentence %d is non-projective" % num)
     for num, sentence in enumerate(dev_sentences or (), start=1):
         if not all(sentence.forms):
             raise EmptyFormError("dev sentence %d has an empty form" % num)
@@ -318,7 +319,7 @@ def train(train_sentences: list[ConlluSentence],
         load_embeddings(embedding_vectors, word_vocab, store["word/emb"].value)
     store.dense()  # pack the arena here, in set-up, rather than inside the first update
 
-    optimizer = make_optimizer(settings.optimizer, settings.learning_rate)
+    optimizer = OPTIMIZERS[settings.optimizer](settings.learning_rate)
     rng = store.rng  # one seeded stream drives init, shuffling, dropout, exploration
     result = TrainResult(store, config, jamo_vocab, char_vocab, word_vocab,
                          label_vocab, settings)

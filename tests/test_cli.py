@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from jamoparse.cli import decompose_lines, main
@@ -263,6 +264,8 @@ CYCLE = conllu_rows(("나는", 2, "nsubj"), ("갔다", 1, "dep"), ("집에", 0, 
 HEAD_OUT_OF_RANGE = conllu_rows(("나는", 9, "nsubj"), ("갔다", 0, "root"))
 GOOD = conllu_rows(("나는", 2, "nsubj"), ("갔다", 0, "root"))
 MISSING_LABEL = conllu_rows(("나는", 2, "_"), ("갔다", 0, "root"))
+NON_PROJECTIVE = conllu_rows(("나는", 3, "nsubj"), ("산을", 4, "obj"), ("갔다", 0, "root"),
+                             ("집에", 3, "obl"))
 EMPTY_FORM = conllu_rows(("", 2, "nsubj"), ("갔다", 0, "root"))
 TINY_DIMS = ("--dim-jamo", "4", "--dim-char", "0", "--dim-word", "4", "--dim-encoder", "8",
              "--hidden-dim", "4")
@@ -339,6 +342,20 @@ class TestMalformedTrainingTrees:
         assert "skipping 1 malformed training sentence(s): %s" % reason in err
         assert (tmp_path / "m.model").exists()
 
+    def test_every_sentence_skipped_exits_1_without_a_model(self, tmp_path, capsys):
+        path = tmp_path / "unusable.conllu"
+        path.write_text(CYCLE + NON_PROJECTIVE + MISSING_LABEL, encoding="utf-8")
+        code, out, err = run_cli(capsys, "train", "--train", str(path),
+                                 "--model", str(tmp_path / "m.model"), *TINY_DIMS,
+                                 "--epochs", "1")
+        assert code == 1
+        assert "skipping 1 non-projective training sentence(s)" in err
+        assert "skipping 1 malformed training sentence(s): cycle" in err
+        assert "skipping 1 malformed training sentence(s): missing label" in err
+        assert err.endswith("error: empty training treebank\n")
+        assert out == ""
+        assert not (tmp_path / "m.model").exists()
+
     def test_root_count_warning_is_kept(self, tmp_path, capsys):
         path = tmp_path / "two_roots.conllu"
         path.write_text(GOOD + conllu_rows(("나는", 0, "root"), ("갔다", 0, "root")),
@@ -350,18 +367,58 @@ class TestMalformedTrainingTrees:
         assert err.count("sentence 2: 2 tokens attached to root") == 1, err
 
 
-def rewrite_header(path, edit):
-    """Apply ``edit`` to a model file's JSON header and write a matching digest."""
+def split_model(path):
+    """A model file's magic line, JSON header and parameter bytes; the digest is dropped."""
     blob = path.read_bytes()
     magic_end = blob.index(b"\n") + 1
     length_end = blob.index(b"\n", magic_end) + 1
-    header_len = int(blob[magic_end:length_end])
-    header = json.loads(blob[length_end:length_end + header_len])
-    edit(header)
+    header_end = length_end + int(blob[magic_end:length_end])
+    return blob[:magic_end], json.loads(blob[length_end:header_end]), blob[header_end:-32]
+
+
+def join_model(path, magic, header, arrays):
+    """Write a model file from its parts, with a matching digest."""
     new_header = json.dumps(header).encode("utf-8")
-    body = (blob[:magic_end] + b"%d\n" % len(new_header) + new_header
-            + blob[length_end + header_len:-32])
+    body = magic + b"%d\n" % len(new_header) + new_header + arrays
     path.write_bytes(body + hashlib.sha256(body).digest())
+
+
+def rewrite_header(path, edit):
+    """Apply ``edit`` to a model file's JSON header and write a matching digest."""
+    magic, header, arrays = split_model(path)
+    edit(header)
+    join_model(path, magic, header, arrays)
+
+
+def rewrite_model(path, edit):
+    """Apply ``edit(header, arrays)`` to a model file; write its arrays, manifest and digest.
+
+    ``edit`` returns the new arrays in manifest order; each entry's shape and
+    dtype are set from its array, so the file stays self-consistent.
+    """
+    magic, header, raw = split_model(path)
+    arrays, cursor = [], 0
+    for entry in header["parameters"]:
+        array = np.frombuffer(raw, entry["dtype"], int(np.prod(entry["shape"])), cursor)
+        arrays.append(array.reshape(entry["shape"]))
+        cursor += array.nbytes
+    arrays = edit(header, arrays)
+    for entry, array in zip(header["parameters"], arrays):
+        entry["shape"], entry["dtype"] = list(array.shape), str(array.dtype)
+    join_model(path, magic, header, b"".join(array.tobytes() for array in arrays))
+
+
+def without_labels(header, arrays):
+    """No label, and a scorer with shift as its one output."""
+    header["vocabularies"]["label"].update(tokens=[], counts={})
+    names = [entry["name"] for entry in header["parameters"]]
+    for name in ("scorer/W2", "scorer/b2"):
+        arrays[names.index(name)] = arrays[names.index(name)][:1]
+    return arrays
+
+
+def second_parameter_float32(header, arrays):
+    return [array.astype(np.float32) if i == 1 else array for i, array in enumerate(arrays)]
 
 
 def set_field(*keys_and_value):
@@ -402,6 +459,9 @@ class TestModelHeaderTypes:
         (set_field("parameters", 0, "shape", [-1]), "parameters[0].shape"),
         (set_field("parameters", 1, "shape", "4"), "parameters[1].shape"),
         (set_field("parameters", 0, "dtype", "int8"), "parameters[0].dtype"),
+        (set_field("parameters", 1, "dtype", "float32"), "parameters[1].dtype"),
+        (set_field("parameters", []), "parameters"),
+        (set_field("vocabularies", "label", "tokens", []), "vocabularies.label.tokens"),
         (lambda header: header.pop("seed"), "seed"),
     ])
     def test_bad_header_type_exits_1_without_traceback(self, tmp_path, tiny_model, edit, field):
@@ -415,6 +475,25 @@ class TestModelHeaderTypes:
         assert proc.returncode == 1
         assert "Traceback" not in proc.stderr
         assert "header field %r" % field in proc.stderr
+
+    @pytest.mark.parametrize("edit,field", [
+        (without_labels, "vocabularies.label.tokens"),
+        (second_parameter_float32, "parameters[1].dtype"),
+    ], ids=["no-labels", "mixed-dtype"])
+    def test_consistent_bad_model_exits_1_without_traceback(self, tmp_path, tiny_model, edit,
+                                                            field):
+        # the arrays, manifest and digest agree; the header content alone is refused
+        model = tmp_path / "edited.model"
+        model.write_bytes(tiny_model.read_bytes())
+        rewrite_model(model, edit)
+        text = tmp_path / "in.conllu"
+        text.write_text(GOOD, encoding="utf-8")
+        proc = run_cli_process("parse", "--model", str(model), "--input", str(text),
+                               "--output", str(tmp_path / "out.conllu"))
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert "header field %r" % field in proc.stderr
+        assert not (tmp_path / "out.conllu").exists()
 
     def test_renamed_parameter_is_not_replaced_by_a_fresh_one(self, tmp_path, tiny_model):
         model = tmp_path / "renamed.model"

@@ -238,9 +238,9 @@ class TestSentenceEncode:
             def random(self):
                 return 1.0
 
-        dropped = enc.encode(["갔다"], training=True, rng=AlwaysDrop())
+        dropped = enc.encode(["갔다"], rng=AlwaysDrop())
         unk = enc.encode([UNK])
-        kept = enc.encode(["갔다"], training=True, rng=NeverDrop())
+        kept = enc.encode(["갔다"], rng=NeverDrop())
         plain = enc.encode(["갔다"])
         assert np.allclose(dropped.value, unk.value)
         assert np.allclose(kept.value, plain.value)

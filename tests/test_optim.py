@@ -168,10 +168,15 @@ def assert_same_state(store, ref_store, opt, ref_opt):
         assert np.array_equal(param.grad, ref_param.grad), name
         assert not np.any(param.grad), name
     assert opt._t == ref_opt._t
-    assert set(ref_opt._m) <= set(opt._m)
-    for name in opt._m:  # a dense parameter's moments exist, zero, before its first step
-        assert np.array_equal(opt._m[name], ref_opt._m.get(name, 0 * opt._m[name])), name
-        assert np.array_equal(opt._v[name], ref_opt._v.get(name, 0 * opt._v[name])), name
+    assert set(opt._m) <= {name for name, _ in store.tables()}  # dense moments: the arenas
+    _, m, v = opt._arena
+    moments = {name: (m[part], v[part]) for name, part in store.dense()[2]}
+    moments.update((name, (opt._m[name].ravel(), opt._v[name].ravel())) for name in opt._m)
+    assert set(ref_opt._m) <= set(moments)
+    for name, (m_got, v_got) in moments.items():  # a dense parameter's are zero before its step
+        zero = np.zeros(m_got.shape, m_got.dtype)
+        assert np.array_equal(m_got, ref_opt._m.get(name, zero).ravel()), name
+        assert np.array_equal(v_got, ref_opt._v.get(name, zero).ravel()), name
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
@@ -265,11 +270,13 @@ def test_dense_parameter_added_after_packing_raises():
 
 
 def test_dense_parameters_of_mixed_dtypes_do_not_pack():
+    # the store holds one dtype, so an arena of two cannot arise
     store = ParameterStore(seed=0)
     store.matrix("w", 2, 3)
-    store.add_raw("w32", np.ones((2, 3), dtype=np.float32))
     with pytest.raises(ValueError):
-        store.dense()
+        store.add_raw("w32", np.ones((2, 3), dtype=np.float32))
+    assert "w32" not in store
+    assert store.dense()[0].dtype == np.float64
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
@@ -346,7 +353,7 @@ def test_backward_rows_cover_every_nonzero_embedding_row(toy_treebank_path):
     tables = ["jamo/emb", "char/emb", "word/emb"]
     assert all(store[name].rows is not None for name in tables)
     settings = TrainSettings(epochs=1)
-    optimizer = Adam()
+    optimizer = Adam(settings.learning_rate)
     updates = 0
     for sentence in sentences[:4]:
         loss, _ = sentence_training_pass(encoder, scorer, sentence, label_vocab, settings,

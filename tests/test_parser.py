@@ -619,7 +619,7 @@ class TestTraining:
         result = train(sentences, sentences, config, settings)
         assert result.history[-1]["las"] > result.history[0]["las"]
 
-    def test_float32_training_mode(self, toy_treebank_path_module):
+    def test_float32_training_mode(self, toy_treebank_path_module, tmp_path):
         sentences = read_conllu(toy_treebank_path_module)
         settings = TrainSettings(epochs=1, seed=2, hidden_dim=8, float32=True)
         config = UnitConfig(dim_jamo=8, dim_char=0, dim_word=8, dim_encoder=16)
@@ -628,6 +628,15 @@ class TestTraining:
         model = TrainedModel.from_training(result)
         heads = [h for h, _ in model.parse(sentences[0].forms)]
         assert len(heads) == len(sentences[0])
+        path, again = tmp_path / "m32.model", tmp_path / "again.model"
+        save_model(model, path)
+        loaded = load_model(path)
+        assert loaded.store.dtype == np.float32
+        assert all(p.value.dtype == np.float32 for _, p in loaded.store.parameters())
+        assert [loaded.parse(s.forms) for s in sentences] == [model.parse(s.forms)
+                                                               for s in sentences]
+        save_model(loaded, again)
+        assert again.read_bytes() == path.read_bytes()
 
     def test_dev_selection_keeps_best_snapshot(self, toy_treebank_path_module):
         sentences = read_conllu(toy_treebank_path_module)
