@@ -2,8 +2,8 @@
 
 from .encoder import SentenceEncoder, UnitConfig
 from .hangul import EMPTY, JamoTriple, compose, decompose, decompose_text
-from .model_io import TrainedModel, load_model, save_model
-from .parser import TrainSettings, greedy_parse, train
+from .model_io import load_model, save_model
+from .parser import TrainedModel, TrainSettings, greedy_parse, train
 from .vocab import Vocabulary
 
 __version__ = "0.1.0"

@@ -17,7 +17,7 @@ import numpy as np
 from . import hangul
 from .autograd import Node, Parameter, _accumulate, concat, gather
 from .nn import LSTMCell, ParameterStore, bilstm
-from .vocab import UNK, Vocabulary
+from .vocab import Vocabulary
 
 
 @dataclass(frozen=True)

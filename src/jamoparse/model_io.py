@@ -16,16 +16,14 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
-from functools import cached_property
+import os
 
 import numpy as np
 
-from .data import ConlluSentence
-from .encoder import SentenceEncoder, UnitConfig
+from .encoder import UnitConfig
 from .nn import ParameterStore
-from .parser import TrainResult, TransitionScorer, greedy_parse, parse_to_sentence
-from .vocab import Vocabulary
+from .parser import TrainedModel
+from .vocab import _SPECIALS, Vocabulary
 
 FORMAT_VERSION = 1
 _MAGIC = "jamoparse-model"
@@ -38,43 +36,6 @@ class CorruptModelError(ValueError):
 
 class ModelVersionError(ValueError):
     """Model file written by an incompatible format version."""
-
-
-@dataclass(eq=False)
-class TrainedModel:
-    """Frozen bundle of configuration, vocabularies, and parameters."""
-
-    config: UnitConfig
-    jamo_vocab: Vocabulary
-    char_vocab: Vocabulary
-    word_vocab: Vocabulary
-    label_vocab: Vocabulary
-    store: ParameterStore
-    hidden_dim: int
-
-    @classmethod
-    def from_training(cls, result: TrainResult) -> "TrainedModel":
-        return cls(result.config, result.jamo_vocab, result.char_vocab,
-                   result.word_vocab, result.label_vocab, result.store,
-                   result.settings.hidden_dim)
-
-    @cached_property
-    def encoder(self) -> SentenceEncoder:
-        return SentenceEncoder(self.store, self.config, self.jamo_vocab,
-                               self.char_vocab, self.word_vocab)
-
-    @cached_property
-    def scorer(self) -> TransitionScorer:
-        return TransitionScorer(self.store, self.config.dim_encoder,
-                                len(self.label_vocab), self.hidden_dim)
-
-    def parse(self, forms: list[str]) -> list[tuple[int, str]]:
-        """Heads and label strings for one tokenized sentence."""
-        return [(head, self.label_vocab.token_of(label))
-                for head, label in greedy_parse(self.encoder, self.scorer, forms)]
-
-    def parse_sentence(self, forms: list[str]) -> ConlluSentence:
-        return parse_to_sentence(self.encoder, self.scorer, self.label_vocab, forms)
 
 
 def _header_payload(model: TrainedModel) -> dict:
@@ -96,16 +57,18 @@ def _header_payload(model: TrainedModel) -> dict:
 
 
 def save_model(model: TrainedModel, path) -> None:
+    """Write ``model`` to ``path``; each parameter goes from its array to the file uncopied."""
     header = json.dumps(_header_payload(model), ensure_ascii=False, sort_keys=True,
                         separators=(",", ":")).encode("utf-8")
-    chunks = [("%s %d\n" % (_MAGIC, FORMAT_VERSION)).encode("utf-8"),
-              ("%d\n" % len(header)).encode("utf-8"), header]
-    for _, param in model.store.parameters():
-        chunks.append(np.ascontiguousarray(param.value).tobytes())
-    body = b"".join(chunks)
+    head = ("%s %d\n%d\n" % (_MAGIC, FORMAT_VERSION, len(header))).encode("utf-8") + header
+    digest = hashlib.sha256(head)
     with open(path, "wb") as handle:
-        handle.write(body)
-        handle.write(hashlib.sha256(body).digest())
+        handle.write(head)
+        for _, param in model.store.parameters():
+            value = np.ascontiguousarray(param.value)
+            digest.update(value)
+            handle.write(value)
+        handle.write(digest.digest())
 
 
 def _is_int(value, minimum: int) -> bool:
@@ -143,6 +106,9 @@ def _check_header(header) -> None:
         tokens, counts = payload.get("tokens"), payload.get("counts", {})
         require(isinstance(tokens, list) and all(isinstance(t, str) for t in tokens),
                 field + ".tokens", "a list of strings")
+        specials = list(_SPECIALS[kind])  # in Vocabulary.build's layout: specials first
+        require(tokens[:len(specials)] == specials, field + ".tokens",
+                "a list starting with %s" % specials)
         require(isinstance(counts, dict) and all(_is_int(c, 0) for c in counts.values()),
                 field + ".counts", "an object of non-negative ints")
     require(bool(vocabularies["label"]["tokens"]), "vocabularies.label.tokens", "non-empty")
@@ -160,66 +126,77 @@ def _check_header(header) -> None:
         dtypes = (entry["dtype"],)
 
 
-def load_model(path) -> TrainedModel:
-    with open(path, "rb") as handle:
-        blob = handle.read()
-    if len(blob) <= _DIGEST_BYTES:
-        raise CorruptModelError("file too short to be a model")
-    newline = blob.find(b"\n")
-    if newline < 0:
-        raise CorruptModelError("missing magic line")
-    magic_parts = blob[:newline].decode("utf-8", errors="replace").split()
-    if len(magic_parts) != 2 or magic_parts[0] != _MAGIC:
-        raise CorruptModelError("not a parser model file")
-    try:
-        version = int(magic_parts[1])
-    except ValueError:
-        raise CorruptModelError("unreadable format version") from None
-    if version != FORMAT_VERSION:
-        raise ModelVersionError(
-            "model format version %d, this build reads %d" % (version, FORMAT_VERSION))
-    body = memoryview(blob)[:-_DIGEST_BYTES]  # a view: the parameters are copied once, below
-    if hashlib.sha256(body).digest() != blob[-_DIGEST_BYTES:]:
-        raise CorruptModelError("checksum mismatch (truncated or corrupted file)")
+def _digest(handle, size: int) -> bytes:
+    """SHA-256 of the next ``size`` bytes of ``handle``, read through one reused buffer."""
+    digest = hashlib.sha256()
+    chunk = memoryview(bytearray(1 << 20))
+    while size and (got := handle.readinto(chunk[:min(size, len(chunk))])):
+        digest.update(chunk[:got])
+        size -= got
+    return digest.digest()
 
-    cursor = newline + 1
-    newline = blob.find(b"\n", cursor)
-    if newline < 0:
-        raise CorruptModelError("missing header length")
-    try:
-        header_len = int(blob[cursor:newline])
-    except ValueError:
-        raise CorruptModelError("unreadable header length") from None
-    cursor = newline + 1
-    try:
-        header = json.loads(blob[cursor:cursor + header_len].decode("utf-8"))
-    except (ValueError, UnicodeDecodeError):
-        raise CorruptModelError("unreadable header") from None
-    cursor += header_len
-    _check_header(header)
+
+def load_model(path) -> TrainedModel:
+    """The model in the file at ``path``; CorruptModelError or ModelVersionError if unreadable.
+
+    The digest is verified before the header is parsed. Each parameter is
+    then read from the file straight into its own array, so a load holds
+    one copy of the model, never the whole file besides it.
+    """
+    with open(path, "rb") as handle:
+        size = os.fstat(handle.fileno()).st_size - _DIGEST_BYTES  # bytes under the digest
+        if size <= 0:
+            raise CorruptModelError("file too short to be a model")
+        line = handle.readline()
+        if not line.endswith(b"\n"):
+            raise CorruptModelError("missing magic line")
+        magic_parts = line.decode("utf-8", errors="replace").split()
+        if len(magic_parts) != 2 or magic_parts[0] != _MAGIC:
+            raise CorruptModelError("not a parser model file")
+        try:
+            version = int(magic_parts[1])
+        except ValueError:
+            raise CorruptModelError("unreadable format version") from None
+        if version != FORMAT_VERSION:
+            raise ModelVersionError(
+                "model format version %d, this build reads %d" % (version, FORMAT_VERSION))
+        handle.seek(0)
+        if _digest(handle, size) != handle.read():
+            raise CorruptModelError("checksum mismatch (truncated or corrupted file)")
+
+        handle.seek(len(line))
+        line = handle.readline()
+        if not line.endswith(b"\n"):
+            raise CorruptModelError("missing header length")
+        try:
+            header_len = int(line)
+        except ValueError:
+            raise CorruptModelError("unreadable header length") from None
+        try:
+            header = json.loads(handle.read(max(header_len, 0)).decode("utf-8"))
+        except (ValueError, UnicodeDecodeError):
+            raise CorruptModelError("unreadable header") from None
+        _check_header(header)
+
+        store = ParameterStore(seed=header["seed"], dtype=header["parameters"][0]["dtype"])
+        for entry in header["parameters"]:
+            shape = tuple(entry["shape"])
+            nbytes = int(np.prod(shape, dtype=np.int64)) * store.dtype.itemsize
+            if handle.tell() + nbytes > size:
+                raise CorruptModelError("parameter %r is truncated" % entry["name"])
+            value = np.empty(shape, dtype=store.dtype)  # the one dtype _check_header allows
+            handle.readinto(value.reshape(-1).view(np.uint8))
+            store.add_raw(entry["name"], value)
+        if handle.tell() != size:
+            raise CorruptModelError("trailing bytes after parameters")
 
     config = UnitConfig.from_dict(header["config"])
     vocabs = {kind: Vocabulary.from_dict(payload)
               for kind, payload in header["vocabularies"].items()}
-    store = ParameterStore(seed=header["seed"], dtype=header["parameters"][0]["dtype"])
-    dtype = store.dtype  # the one dtype _check_header allows
-    for entry in header["parameters"]:
-        shape = tuple(entry["shape"])
-        count = int(np.prod(shape, dtype=np.int64))
-        if cursor + count * dtype.itemsize > len(body):
-            raise CorruptModelError("parameter %r is truncated" % entry["name"])
-        # a read-only view of the file; add_raw makes the one writeable copy
-        store.add_raw(entry["name"], np.frombuffer(body, dtype=dtype, count=count,
-                                                   offset=cursor).reshape(shape))
-        cursor += count * dtype.itemsize
-    if cursor != len(body):
-        raise CorruptModelError("trailing bytes after parameters")
+    # binding the encoder and scorer re-checks every shape against the vocabularies,
+    # and would create, with a fresh initialisation, any parameter the file lacks
     model = TrainedModel(config, vocabs["jamo"], vocabs["char"], vocabs["word"],
                          vocabs["label"], store, header["hidden_dim"])
-    # binding the encoder and scorer re-checks every shape against the vocabularies
-    _ = model.encoder
-    _ = model.scorer
-    # and would create, with a fresh initialisation, any parameter the file lacks
     created = store.names()[len(header["parameters"]):]
     if created:
         raise CorruptModelError("model file lacks parameter(s) %s" % ", ".join(created))

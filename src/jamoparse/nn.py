@@ -78,13 +78,13 @@ class ParameterStore:
         return self._register(name, value, track_rows=True)
 
     def add_raw(self, name: str, value: np.ndarray) -> Parameter:
-        """Insert a copy of a pre-built array of the store's dtype (deserialisation path)."""
+        """Insert a pre-built array of the store's dtype as it is (deserialisation path)."""
         if name in self._params:
             raise ValueError("duplicate parameter %r" % name)
         if value.dtype != self.dtype:
             raise ValueError("parameter %r is %s, the store holds %s"
                              % (name, value.dtype, self.dtype))
-        return self._register(name, np.array(value))
+        return self._register(name, value)
 
     def __contains__(self, name: str) -> bool:
         return name in self._params

@@ -9,7 +9,7 @@ import numpy as np
 from . import transition as T
 from .autograd import Node, _accumulate, backward
 from .data import (ConlluSentence, Token, build_label_vocabulary, build_vocabularies, evaluate,
-                   untrainable_reason)
+                   load_embeddings, untrainable_reason)
 from .encoder import SentenceEncoder, UnitConfig
 from .nn import OPTIMIZERS, ParameterStore, clip_gradients
 from .vocab import Vocabulary
@@ -205,14 +205,6 @@ def greedy_parse(encoder: SentenceEncoder, scorer: TransitionScorer,
     return [(config.heads[i], config.labels[i]) for i in range(1, len(forms) + 1)]
 
 
-def parse_to_sentence(encoder: SentenceEncoder, scorer: TransitionScorer,
-                      label_vocab: Vocabulary, forms: list[str]) -> ConlluSentence:
-    parsed = greedy_parse(encoder, scorer, forms)
-    tokens = [Token(form=form, head=head, label=label_vocab.token_of(label))
-              for form, (head, label) in zip(forms, parsed)]
-    return ConlluSentence(tokens)
-
-
 def sentence_training_pass(encoder, scorer, sentence: ConlluSentence,
                            label_vocab: Vocabulary, settings: TrainSettings, rng, epoch: int):
     """Run the oracle-guided transition sequence once; returns (loss node, hinge total).
@@ -247,7 +239,7 @@ def sentence_training_pass(encoder, scorer, sentence: ConlluSentence,
                 violations.append((rows, hidden, values, best_wrong, best_correct))
                 hinge_total += hinge
         if settings.oracle == "static":
-            move = T.static_oracle(config, gold_heads, gold_labels)
+            move = T.static_oracle(config, costs, gold_heads, gold_labels)
         else:
             move = scorer.transition_of(best_correct)
             if (explore and best_wrong >= 0 and values[best_wrong] > values[best_correct]
@@ -258,14 +250,48 @@ def sentence_training_pass(encoder, scorer, sentence: ConlluSentence,
     return loss, hinge_total
 
 
-@dataclass
-class TrainResult:
-    store: ParameterStore
+@dataclass(eq=False)
+class TrainedModel:
+    """One parser: unit config, vocabularies, parameters and scorer hidden size.
+
+    Construction binds :attr:`encoder` and :attr:`scorer` to ``store``: on a
+    fresh store this creates their parameters, encoder first; on a loaded
+    one it re-checks every shape against the vocabularies.
+    """
+
     config: UnitConfig
     jamo_vocab: Vocabulary
     char_vocab: Vocabulary
     word_vocab: Vocabulary
     label_vocab: Vocabulary
+    store: ParameterStore
+    hidden_dim: int
+
+    def __post_init__(self):
+        self.encoder = SentenceEncoder(self.store, self.config, self.jamo_vocab,
+                                       self.char_vocab, self.word_vocab)
+        self.scorer = TransitionScorer(self.store, self.config.dim_encoder,
+                                       len(self.label_vocab), self.hidden_dim)
+
+    @classmethod
+    def from_training(cls, result: "TrainResult") -> "TrainedModel":
+        """The model a training run built; a TrainResult already is one."""
+        return result
+
+    def parse(self, forms: list[str]) -> list[tuple[int, str]]:
+        """Heads and label strings for one tokenized sentence."""
+        return [(head, self.label_vocab.token_of(label))
+                for head, label in greedy_parse(self.encoder, self.scorer, forms)]
+
+    def parse_sentence(self, forms: list[str]) -> ConlluSentence:
+        return ConlluSentence([Token(form=form, head=head, label=label)
+                               for form, (head, label) in zip(forms, self.parse(forms))])
+
+
+@dataclass(eq=False)
+class TrainResult(TrainedModel):
+    """The trained model with the settings it was trained with and one history entry per epoch."""
+
     settings: TrainSettings
     history: list[dict] = field(default_factory=list)
 
@@ -293,6 +319,8 @@ def train(train_sentences: list[ConlluSentence],
     """
     if not train_sentences:
         raise ValueError("empty training treebank")
+    if embedding_vectors and config.dim_word == 0:
+        raise ValueError("pre-trained embeddings need dim_word > 0")
     for num, sentence in enumerate(train_sentences, start=1):
         problem = untrainable_reason(sentence)
         if problem == "non-projective":
@@ -310,19 +338,14 @@ def train(train_sentences: list[ConlluSentence],
 
     dtype = np.float32 if settings.float32 else np.float64
     store = ParameterStore(seed=settings.seed, dtype=dtype)
-    encoder = SentenceEncoder(store, config, jamo_vocab, char_vocab, word_vocab)
-    scorer = TransitionScorer(store, config.dim_encoder, len(label_vocab), settings.hidden_dim)
+    result = TrainResult(config, jamo_vocab, char_vocab, word_vocab, label_vocab, store,
+                         settings.hidden_dim, settings)
     if embedding_vectors:
-        if config.dim_word == 0:
-            raise ValueError("pre-trained embeddings need dim_word > 0")
-        from .data import load_embeddings
         load_embeddings(embedding_vectors, word_vocab, store["word/emb"].value)
     store.dense()  # pack the arena here, in set-up, rather than inside the first update
 
     optimizer = OPTIMIZERS[settings.optimizer](settings.learning_rate)
     rng = store.rng  # one seeded stream drives init, shuffling, dropout, exploration
-    result = TrainResult(store, config, jamo_vocab, char_vocab, word_vocab,
-                         label_vocab, settings)
     best_las = -1.0
     best_state = None
     for epoch in range(1, settings.epochs + 1):
@@ -332,7 +355,7 @@ def train(train_sentences: list[ConlluSentence],
         for position in order:
             sentence = train_sentences[int(position)]
             loss_node, hinge_total = sentence_training_pass(
-                encoder, scorer, sentence, label_vocab, settings, rng, epoch)
+                result.encoder, result.scorer, sentence, label_vocab, settings, rng, epoch)
             epoch_loss += hinge_total
             if loss_node is not None:
                 backward(loss_node)
@@ -344,8 +367,7 @@ def train(train_sentences: list[ConlluSentence],
                  "clip_rate": (sum(norm > CLIP_NORM for norm in norms) / len(norms)
                                if norms else 0.0)}
         if dev_sentences:
-            predicted = [parse_to_sentence(encoder, scorer, label_vocab, s.forms)
-                         for s in dev_sentences]
+            predicted = [result.parse_sentence(s.forms) for s in dev_sentences]
             uas, las = evaluate(dev_sentences, predicted)
             entry.update(uas=uas, las=las)
             if log:

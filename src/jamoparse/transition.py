@@ -114,10 +114,14 @@ def correct_label(config: ParserConfiguration, kind: int, gold_heads, gold_label
     return gold_labels[dependent] if gold_heads[dependent] == head else None
 
 
-def static_oracle(config: ParserConfiguration, gold_heads,
+def static_oracle(config: ParserConfiguration, costs: dict[int, int], gold_heads,
                   gold_labels) -> tuple[int, int | None]:
-    """Canonical zero-cost (kind, label): attach eagerly, shift otherwise."""
-    costs = transition_costs(config, gold_heads)
+    """Canonical zero-cost (kind, label) on the gold path: attach eagerly, shift otherwise.
+
+    ``costs`` is :func:`transition_costs` of ``config``. Along the gold
+    transitions of a projective tree a zero-cost gold arc or a zero-cost
+    shift always exists.
+    """
     for kind in (LEFT_ARC, RIGHT_ARC):
         if costs.get(kind) == 0:
             head, dependent = formed_arc(config, kind)
@@ -125,8 +129,4 @@ def static_oracle(config: ParserConfiguration, gold_heads,
                 return kind, gold_labels[dependent]
     if costs.get(SHIFT) == 0:
         return SHIFT, None
-    # off the gold path (exploration): fall back to any zero-cost transition
-    for kind in (LEFT_ARC, RIGHT_ARC):
-        if costs.get(kind) == 0:
-            return kind, gold_labels[formed_arc(config, kind)[1]]
     raise RuntimeError("no zero-cost transition; gold heads are not a projective tree")

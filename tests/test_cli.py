@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -147,7 +148,7 @@ class TestTrainParseEval:
 
     def test_eval_scores_unparsed_tokens_as_wrong(self, trained, tmp_path, capsys,
                                                  toy_treebank_path):
-        lines = open(toy_treebank_path, encoding="utf-8").read().splitlines(keepends=True)
+        lines = Path(toy_treebank_path).read_text(encoding="utf-8").splitlines(keepends=True)
         first_token = next(i for i, line in enumerate(lines) if line[:1].isdigit())
         fields = lines[first_token].split("\t")
         fields[1] = ""
@@ -192,7 +193,7 @@ class TestTrainParseEval:
 
     def test_dev_sentence_with_empty_form_exits_1_before_any_epoch(self, tmp_path, capsys,
                                                                    toy_treebank_path):
-        lines = open(toy_treebank_path, encoding="utf-8").read().splitlines(keepends=True)
+        lines = Path(toy_treebank_path).read_text(encoding="utf-8").splitlines(keepends=True)
         first_token = next(i for i, line in enumerate(lines) if line[:1].isdigit())
         fields = lines[first_token].split("\t")
         fields[1] = ""
@@ -462,6 +463,9 @@ class TestModelHeaderTypes:
         (set_field("parameters", 1, "dtype", "float32"), "parameters[1].dtype"),
         (set_field("parameters", []), "parameters"),
         (set_field("vocabularies", "label", "tokens", []), "vocabularies.label.tokens"),
+        # same size, but "<unk>" / "∅" renamed: specials open each vocabulary
+        (set_field("vocabularies", "word", "tokens", 0, "모르는말"), "vocabularies.word.tokens"),
+        (set_field("vocabularies", "jamo", "tokens", 1, "<tail>"), "vocabularies.jamo.tokens"),
         (lambda header: header.pop("seed"), "seed"),
     ])
     def test_bad_header_type_exits_1_without_traceback(self, tmp_path, tiny_model, edit, field):

@@ -35,3 +35,27 @@ def test_every_public_autograd_name_is_imported_by_the_package():
     assert defined, "no public names found in autograd.py"
     assert not defined - used, "autograd defines names no package module imports: %s" % (
         sorted(defined - used))
+
+
+def imported_names(tree):
+    """Names a module binds by import, except ``from __future__`` ones."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update((alias.asname or alias.name).split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            names.update(alias.asname or alias.name for alias in node.names)
+    return names
+
+
+def test_no_package_module_imports_a_name_it_never_uses():
+    # __init__.py imports to re-export
+    unused = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name != "__init__.py":
+            tree = ast.parse(path.read_text("utf-8"))
+            names = imported_names(tree) - {node.id for node in ast.walk(tree)
+                                            if isinstance(node, ast.Name)}
+            if names:
+                unused[path.name] = sorted(names)
+    assert not unused, "unused imports: %s" % unused

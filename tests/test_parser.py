@@ -1,6 +1,7 @@
 # -*- coding: utf-8 -*-
 import copy
 import gc
+import tracemalloc
 from itertools import product
 
 import numpy as np
@@ -139,18 +140,25 @@ class TestOracle:
         assert trees == 71
 
     def test_static_oracle_follows_gold_path(self):
-        for n in range(1, 5):
+        # every projective tree of 1-6 tokens, several root attachments included:
+        # each step of the static walk has a zero-cost gold arc or a zero-cost shift
+        total = 0
+        for n in range(1, 7):
             for heads in enumerate_projective_trees(n):
                 gold_heads = [None] + [heads[d] for d in range(1, n + 1)]
                 gold_labels = [None] + [d % 3 for d in range(1, n + 1)]
                 config = T.ParserConfiguration(n)
                 steps = 0
                 while not config.is_terminal():
-                    config.apply(*T.static_oracle(config, gold_heads, gold_labels))
+                    costs = T.transition_costs(config, gold_heads)
+                    config.apply(*T.static_oracle(config, costs, gold_heads, gold_labels))
                     steps += 1
                 assert steps == 2 * n
                 assert config.heads == heads
                 assert all(config.labels[d] == gold_labels[d] for d in heads)
+                total += steps
+        # 1 + 3 + 12 + 55 + 273 + 1428 trees
+        assert total == 20392
 
     def test_costs_count_lost_arcs(self):
         # gold: 1 <- 2 -> 3, root -> 2; configuration: stack [root, 1], buffer [2, 3]
@@ -533,6 +541,17 @@ class TestTraining:
             train([good], [good, formless], TOY_CONFIG, TrainSettings(epochs=1),
                   log=pytest.fail)
 
+    def test_embeddings_without_word_tier_rejected_before_any_parameter(self, monkeypatch):
+        def no_store(*args, **kwargs):
+            pytest.fail("parameter store built before the inputs were checked")
+
+        monkeypatch.setattr("jamoparse.parser.ParameterStore", no_store)
+        good = ConlluSentence([Token("a", 0, "root"), Token("b", 1, "d")])
+        config = UnitConfig(dim_jamo=4, dim_char=0, dim_word=0, dim_encoder=8)
+        with pytest.raises(ValueError, match="pre-trained embeddings need dim_word > 0"):
+            train([good], None, config, TrainSettings(epochs=1),
+                  embedding_vectors={"a": np.ones(4)})
+
     def test_history_reports_gradient_norms(self, toy_treebank_path_module):
         sentences = read_conllu(toy_treebank_path_module)
         settings = TrainSettings(epochs=2, seed=9, learning_rate=0.01, hidden_dim=8)
@@ -683,6 +702,28 @@ class TestModelIO:
             assert param.value.flags.writeable and param.value.flags.owndata, param.name
             assert not np.any(param.grad), param.name
             assert not any(np.shares_memory(param.value, other.value) for other in params[:i])
+
+    def test_save_and_load_hold_no_second_copy_of_the_parameters(self, tmp_path):
+        # 16 MB of word vectors go between the arrays and the file, not through a buffer
+        good = ConlluSentence([Token("a", 0, "root"), Token("b", 1, "d")])
+        vectors = {"w%d" % i: np.zeros(400) for i in range(5000)}
+        config = UnitConfig(dim_jamo=4, dim_char=0, dim_word=400, dim_encoder=8)
+        result = train([good], None, config, TrainSettings(epochs=0, hidden_dim=4),
+                       embedding_vectors=vectors)
+        path = tmp_path / "model.bin"
+        tracemalloc.start()
+        try:
+            save_model(TrainedModel.from_training(result), path)
+            _, save_peak = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            model = load_model(path)
+            kept, load_peak = tracemalloc.get_traced_memory()  # kept: values and gradients
+        finally:
+            tracemalloc.stop()
+        size = path.stat().st_size
+        assert model.store.count() * 8 > 0.95 * size
+        assert save_peak < 0.25 * size
+        assert load_peak - kept < 0.25 * size
 
     def test_truncated_file_is_corrupt(self, overfit_result, tmp_path):
         _, result = overfit_result
