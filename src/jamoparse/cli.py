@@ -99,7 +99,9 @@ def cmd_train(args) -> int:
                              oracle=args.oracle, float32=args.float32)
     vectors = None
     if args.embeddings:
-        _, vectors = data.read_embeddings(args.embeddings, expected_dim=config.dim_word or None)
+        if config.dim_word == 0:  # checked first: the file's own errors would hide it
+            raise ValueError("pre-trained embeddings need dim_word > 0")
+        _, vectors = data.read_embeddings(args.embeddings, expected_dim=config.dim_word)
     result = train(usable, dev_sentences, config, settings,
                    embedding_vectors=vectors,
                    expand_vocabulary=not args.no_expand_vocab,

@@ -1,6 +1,7 @@
 """Treebank ingestion, corpus statistics, embedding files, and attachment scores."""
 from __future__ import annotations
 
+import itertools
 import re
 import unicodedata
 from collections import Counter
@@ -280,7 +281,47 @@ def build_label_vocabulary(sentences: list[ConlluSentence]) -> Vocabulary:
 
 
 def read_embeddings(path, expected_dim: int | None = None) -> tuple[int, dict[str, np.ndarray]]:
-    """Read `token v1 .. vD` lines after any byte-order mark; rows share one finite dimension."""
+    """Read `token v1 .. vD` lines after any byte-order mark; rows share one finite dimension.
+
+    One streaming pass splits the token off each line and hands the rest to
+    numpy's C parser, which fills one ``(n, D)`` matrix; every returned
+    vector is a row view of it, and a repeated token keeps its first
+    position and its last row. Whenever the file might not read the same
+    way (a value only ``float()`` accepts, such as ``1_000``, a bad or
+    non-finite value, a token-only or ragged line, a dimension other than
+    ``expected_dim``, undecodable bytes, or no data lines) the file is read
+    again line by line, which accepts the same values and raises the same
+    line-numbered :class:`EmbeddingFormatError`.
+    """
+    tokens: list[str] = []
+
+    def value_fields(handle):
+        for raw in handle:
+            parts = raw.split(None, 1)
+            if len(parts) == 2:
+                tokens.append(parts[0])
+                yield parts[1]
+            elif parts:
+                raise ValueError("token-only line")
+
+    matrix = None
+    try:
+        with open(path, encoding="utf-8-sig") as handle:
+            fields = value_fields(handle)
+            first = next(fields, None)
+            if first is not None:  # on no data lines loadtxt only warns
+                matrix = np.loadtxt(itertools.chain((first,), fields), dtype=np.float64,
+                                    comments=None, ndmin=2)
+    except ValueError:  # UnicodeDecodeError included; read again below
+        matrix = None
+    if (matrix is None or not np.isfinite(matrix).all()
+            or (expected_dim is not None and matrix.shape[1] != expected_dim)):
+        return _read_embeddings_per_line(path, expected_dim)
+    return matrix.shape[1], dict(zip(tokens, matrix))
+
+
+def _read_embeddings_per_line(path, expected_dim: int | None) -> tuple[int, dict[str, np.ndarray]]:
+    """The reference reader: one ``float()`` conversion per value, errors carry line numbers."""
     vectors: dict[str, np.ndarray] = {}
     dim: int | None = None
     with open(path, encoding="utf-8-sig") as handle:

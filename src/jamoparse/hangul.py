@@ -14,10 +14,6 @@ from dataclasses import dataclass
 SYLLABLE_FIRST = 0xAC00
 SYLLABLE_LAST = 0xD7A3
 
-HEAD_COUNT = 19
-VOWEL_COUNT = 21
-TAIL_COUNT = 27  # non-empty tails; the tail slot itself has 28 states
-
 #: Marker for the empty tail slot. Never equal to any letter.
 EMPTY = "∅"
 
@@ -34,12 +30,6 @@ ALPHABET = tuple(sorted(set(HEAD_LETTERS) | set(VOWEL_LETTERS) | set(TAIL_LETTER
 _HEAD_INDEX = {letter: i for i, letter in enumerate(HEAD_LETTERS)}
 _VOWEL_INDEX = {letter: i for i, letter in enumerate(VOWEL_LETTERS)}
 _TAIL_INDEX = {letter: i for i, letter in enumerate(TAIL_LETTERS)}
-_CANONICAL = frozenset(ALPHABET)
-
-# Conjoining jamo blocks (position-specific code points)
-_CONJOINING_HEAD_FIRST = 0x1100
-_CONJOINING_VOWEL_FIRST = 0x1161
-_CONJOINING_TAIL_FIRST = 0x11A8  # tail index 1
 
 
 class InvalidJamoError(ValueError):
@@ -122,28 +112,6 @@ def compose(triple: JamoTriple) -> str:
         except KeyError:
             raise InvalidJamoError("not a tail consonant: %r" % (triple.tail,)) from None
     return chr(SYLLABLE_FIRST + 588 * head + 28 * vowel + tail)
-
-
-def canonicalize(letter: str) -> str:
-    """Map a position-specific (conjoining) jamo to its canonical letter.
-
-    Canonical letters and the empty-tail marker map to themselves, so the
-    function is idempotent. Anything else raises InvalidJamoError.
-    """
-    if letter == EMPTY:
-        return EMPTY
-    if letter in _CANONICAL:
-        return letter
-    if len(letter) != 1:
-        raise InvalidJamoError("not a jamo letter: %r" % (letter,))
-    code = ord(letter)
-    if _CONJOINING_HEAD_FIRST <= code < _CONJOINING_HEAD_FIRST + HEAD_COUNT:
-        return HEAD_LETTERS[code - _CONJOINING_HEAD_FIRST]
-    if _CONJOINING_VOWEL_FIRST <= code < _CONJOINING_VOWEL_FIRST + VOWEL_COUNT:
-        return VOWEL_LETTERS[code - _CONJOINING_VOWEL_FIRST]
-    if _CONJOINING_TAIL_FIRST <= code < _CONJOINING_TAIL_FIRST + TAIL_COUNT:
-        return TAIL_LETTERS[code - _CONJOINING_TAIL_FIRST]
-    raise InvalidJamoError("not a jamo letter: %r" % (letter,))
 
 
 def decompose_text(text: str) -> list[JamoTriple | str]:

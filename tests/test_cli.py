@@ -255,6 +255,16 @@ class TestTrainParseEval:
         assert code == 1
         assert "dimension" in err
 
+    def test_embeddings_without_word_tier_refused_before_reading_the_file(
+            self, tmp_path, capsys, toy_treebank_path):
+        code, _, err = run_cli(capsys, "train", "--train", toy_treebank_path,
+                               "--model", str(tmp_path / "m.model"),
+                               "--dim-word", "0", "--epochs", "1",
+                               "--embeddings", str(tmp_path / "missing.txt"))
+        assert code == 1
+        assert err == "error: pre-trained embeddings need dim_word > 0\n"
+        assert not (tmp_path / "m.model").exists()
+
 
 def conllu_rows(*rows):
     return "".join("%d\t%s\t_\t_\t_\t_\t%d\t%s\t_\t_\n" % (i, form, head, label)

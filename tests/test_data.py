@@ -1,12 +1,14 @@
 # -*- coding: utf-8 -*-
 import re
+import tempfile
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from jamoparse import hangul
+from jamoparse import data, hangul
 from jamoparse.data import (AlignmentError, ConlluFormatError, ConlluSentence,
                             EmbeddingFormatError, Token, build_label_vocabulary,
                             build_vocabularies, check_tree, evaluate, is_projective,
@@ -255,6 +257,56 @@ class TestVocabularies:
             labels.id_of("missing")
 
 
+#: Field separators: str.split() whitespace beyond space and tab included.
+EMBEDDING_SEPARATORS = st.sampled_from([" ", "\t", "  ", "\xa0", "\u3000", "\x0b", "\x1c"])
+EMBEDDING_VALUES = st.one_of(
+    st.floats().map(repr),
+    st.floats(allow_nan=False, allow_infinity=False).map(lambda x: "%.4g" % x),
+    st.sampled_from(["1_000", "-2_5.0_1", "\uff11.\uff15", "nan", "-inf", "inf", "1e400",
+                     "1e-400", "+.5", "x", "0x1p3", "1d0"]))
+
+
+@st.composite
+def embedding_files(draw):
+    """(text, expected_dim): mostly well-formed rows, with every line shape the reader skips,
+    accepts only through float(), or rejects."""
+    dim = draw(st.integers(1, 4))
+    plain = st.floats(-1e6, 1e6).map(repr)
+    lines = []
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(["row"] * 6 + ["ragged", "blank", "spaces", "token"]))
+        token = draw(st.sampled_from(["a", "b", "갔다", "x1"]))
+        if kind in ("row", "ragged"):
+            width = dim if kind == "row" else draw(st.integers(1, dim + 1))
+            values = draw(st.lists(st.one_of(plain, plain, EMBEDDING_VALUES),
+                                   min_size=width, max_size=width))
+            line = token
+            for value in values:
+                line += draw(EMBEDDING_SEPARATORS) + value
+            line += draw(st.sampled_from(["", "", " ", "\xa0", "\u3000", "\x1c"]))
+        elif kind == "blank":
+            line = ""
+        elif kind == "spaces":
+            line = draw(st.lists(EMBEDDING_SEPARATORS, min_size=1, max_size=3).map("".join))
+        else:
+            line = token + draw(st.sampled_from(["", " "]))
+        lines.append(line)
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    text = newline.join(lines) + (newline if lines and draw(st.booleans()) else "")
+    if draw(st.booleans()):
+        text = "\ufeff" + text
+    return text, draw(st.sampled_from([None, dim, dim + 1]))
+
+
+def reader_outcome(reader, path, expected_dim):
+    """What a reader returns, as comparable values, or the type and message of what it raises."""
+    try:
+        dim, vectors = reader(path, expected_dim)
+    except Exception as exc:  # compared, not swallowed
+        return type(exc), str(exc)
+    return dim, list(vectors), np.stack(list(vectors.values())).tobytes()
+
+
 class TestEmbeddings:
     def test_only_in_vocab_rows_change(self, tmp_path):
         vocab = Vocabulary.build("word", {"갔다": 2, "나는": 1})
@@ -313,6 +365,32 @@ class TestEmbeddings:
         table = np.zeros((len(vocab), 2))
         overlap = load_embeddings(vectors, vocab, table)
         assert overlap == len(set(file_tokens) & set(vocab_tokens))
+
+    @settings(max_examples=300, deadline=None)
+    @given(file=embedding_files())
+    def test_reader_matches_the_per_line_reader(self, file):
+        text, expected_dim = file
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "vec.txt"
+            path.write_bytes(text.encode("utf-8"))
+            assert (reader_outcome(data.read_embeddings, path, expected_dim)
+                    == reader_outcome(data._read_embeddings_per_line, path, expected_dim))
+
+    def test_plain_file_is_read_into_one_matrix(self, tmp_path, monkeypatch):
+        def per_line_reader(path, expected_dim):
+            raise AssertionError("plain file fell back to the per-line reader")
+
+        monkeypatch.setattr(data, "_read_embeddings_per_line", per_line_reader)
+        path = tmp_path / "vec.txt"
+        path.write_text("a 1.5 -2.0\nb 0.25 3e-2\na 4 5\n", encoding="utf-8")
+        dim, vectors = read_embeddings(path, expected_dim=2)
+        assert dim == 2
+        assert list(vectors) == ["a", "b"]
+        assert np.array_equal(vectors["a"], [4.0, 5.0])
+        assert np.array_equal(vectors["b"], [0.25, 0.03])
+        base = vectors["a"].base
+        assert base is not None and base.shape == (3, 2)
+        assert all(vector.base is base for vector in vectors.values())
 
     def test_expansion_adds_new_tokens(self):
         vocab = Vocabulary.build("word", {"seen": 3})

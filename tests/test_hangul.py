@@ -4,8 +4,29 @@ from hypothesis import given, strategies as st
 
 from jamoparse import hangul
 from jamoparse.hangul import (ALPHABET, EMPTY, HEAD_LETTERS, InvalidJamoError, JamoTriple,
-                              TAIL_LETTERS, VOWEL_LETTERS, canonicalize, compose, decompose,
-                              decompose_text)
+                              TAIL_LETTERS, VOWEL_LETTERS, compose, decompose, decompose_text)
+
+_CANONICAL = frozenset(ALPHABET)
+
+
+def canonicalize(letter: str) -> str:
+    """Map a position-specific (conjoining) jamo to its canonical letter.
+
+    Canonical letters and the empty-tail marker map to themselves, so the
+    function is idempotent. Anything else raises InvalidJamoError.
+    """
+    if letter == EMPTY:
+        return EMPTY
+    if letter in _CANONICAL:
+        return letter
+    if len(letter) != 1:
+        raise InvalidJamoError("not a jamo letter: %r" % (letter,))
+    # conjoining blocks: heads from U+1100, vowels from U+1161, tails (index 1) from U+11A8
+    for first, letters in ((0x1100, HEAD_LETTERS), (0x1161, VOWEL_LETTERS),
+                           (0x11A8, TAIL_LETTERS)):
+        if first <= ord(letter) < first + len(letters):
+            return letters[ord(letter) - first]
+    raise InvalidJamoError("not a jamo letter: %r" % (letter,))
 
 
 def test_figure_examples():

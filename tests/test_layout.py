@@ -1,6 +1,9 @@
 """Structural checks on the package source."""
 import ast
+from collections import Counter
 from pathlib import Path
+
+import jamoparse
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "jamoparse"
 
@@ -59,3 +62,29 @@ def test_no_package_module_imports_a_name_it_never_uses():
             if names:
                 unused[path.name] = sorted(names)
     assert not unused, "unused imports: %s" % unused
+
+
+def referenced_names(tree):
+    """Counts of the names a tree reads, as plain names or as attributes."""
+    counts = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            counts[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            counts[node.attr] += 1
+    return counts
+
+
+def test_every_public_function_and_class_is_used_or_exported():
+    # a name only tests call belongs in tests/, not in the package
+    trees = {path.name: ast.parse(path.read_text("utf-8")) for path in PACKAGE.glob("*.py")}
+    exported = set(jamoparse.__all__)
+    references = sum((referenced_names(tree) for tree in trees.values()), Counter())
+    unused = []
+    for name, tree in sorted(trees.items()):
+        for node in tree.body:
+            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                    and not node.name.startswith("_") and node.name not in exported
+                    and references[node.name] == referenced_names(node)[node.name]):
+                unused.append("%s.%s" % (name[:-3], node.name))
+    assert not unused, "defined, never used by the package, not in __all__: %s" % unused
