@@ -68,19 +68,6 @@ def _accumulate(node: Node, delta) -> None:
         node.grad += delta
 
 
-def logistic(x: np.ndarray) -> np.ndarray:
-    """Elementwise ``1 / (1 + exp(-x))`` on a plain array.
-
-    ``exp`` only ever sees ``-|x|``, so it cannot overflow: the result is
-    ``1 / (1 + e)`` where ``x >= 0`` and ``e / (1 + e)`` elsewhere.
-    """
-    e = np.exp(-np.abs(x))
-    value = np.maximum(e, x >= 0)  # 1 where x >= 0 (there e <= 1), else e
-    e += 1.0
-    value /= e
-    return value
-
-
 def concat(parts: Sequence[Node]) -> Node:
     """The parts side by side along their last axis.
 

@@ -75,16 +75,21 @@ def _is_int(value, minimum: int) -> bool:
     return isinstance(value, int) and not isinstance(value, bool) and value >= minimum
 
 
+def _bad_field(field: str, expected: str) -> CorruptModelError:
+    return CorruptModelError("header field %r must be %s" % (field, expected))
+
+
 def _check_header(header) -> None:
     """Raise CorruptModelError, naming the field, unless every header field has its type.
 
     The checksum only proves the file is as written; this keeps a header
     that was rewritten with a fresh digest from reaching the model code as
-    a TypeError.
+    a TypeError or a plain ValueError. A vocabulary's one fault left, a
+    repeated token, is found when :func:`load_model` builds it.
     """
     def require(ok: bool, field: str, expected: str) -> None:
         if not ok:
-            raise CorruptModelError("header field %r must be %s" % (field, expected))
+            raise _bad_field(field, expected)
 
     require(isinstance(header, dict), "header", "an object")
     for field in ("config", "hidden_dim", "seed", "vocabularies", "parameters"):
@@ -115,10 +120,14 @@ def _check_header(header) -> None:
     manifest = header["parameters"]
     require(isinstance(manifest, list) and bool(manifest), "parameters", "a non-empty list")
     dtypes = ("float32", "float64")  # then the first entry's: a store holds one dtype
+    names = set()
     for i, entry in enumerate(manifest):
         field = "parameters[%d]" % i
         require(isinstance(entry, dict), field, "an object")
-        require(isinstance(entry.get("name"), str), field + ".name", "a string")
+        name = entry.get("name")
+        require(isinstance(name, str) and name not in names, field + ".name",
+                "a string no earlier entry names")
+        names.add(name)
         shape = entry.get("shape")
         require(isinstance(shape, list) and all(_is_int(d, 0) for d in shape),
                 field + ".shape", "a list of non-negative ints")
@@ -191,8 +200,13 @@ def load_model(path) -> TrainedModel:
             raise CorruptModelError("trailing bytes after parameters")
 
     config = UnitConfig.from_dict(header["config"])
-    vocabs = {kind: Vocabulary.from_dict(payload)
-              for kind, payload in header["vocabularies"].items()}
+    vocabs = {}
+    for kind, payload in header["vocabularies"].items():
+        try:
+            vocabs[kind] = Vocabulary.from_dict(payload)
+        except ValueError:  # the vocabulary refuses a repeated token
+            raise _bad_field("vocabularies.%s.tokens" % kind,
+                             "a list of distinct strings") from None
     # binding the encoder and scorer re-checks every shape against the vocabularies,
     # and would create, with a fresh initialisation, any parameter the file lacks
     model = TrainedModel(config, vocabs["jamo"], vocabs["char"], vocabs["word"],

@@ -6,7 +6,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .autograd import Node, Parameter, ShapeMismatchError, _accumulate, logistic
+from .autograd import Node, Parameter, ShapeMismatchError, _accumulate
 
 ALIGN = 64  # bytes: every arena segment starts on a cache line
 CHUNK = 16384  # elements per optimizer pass: a piece's operands stay in cache between ufuncs
@@ -163,6 +163,11 @@ class LSTMCell:
         self.hidden_dim = hidden_dim
         self.weights = store.matrix(prefix + "/W", 4 * hidden_dim, input_dim + hidden_dim)
         self.bias = store.vector(prefix + "/b", 4 * hidden_dim)
+        # the per-column scale and offset of step's one tanh: 1/2 and 1/2 for the
+        # sigmoid gates, 1 and 0 for the cell candidate
+        self._scale = np.full(4 * hidden_dim, 0.5, dtype=store.dtype)
+        self._scale[2 * hidden_dim:3 * hidden_dim] = 1.0
+        self._offset = 1.0 - self._scale
 
     def step(self, gates_x: np.ndarray, hidden: np.ndarray, memory: np.ndarray):
         """One time step of a batch of sequences on plain arrays; builds no graph node.
@@ -170,15 +175,19 @@ class LSTMCell:
         ``gates_x`` holds each sequence's input projection plus the bias, shape
         (B, 4*hidden); ``hidden`` and ``memory`` its previous states, shape
         (B, hidden). One sequence may also come as 1-d arrays. Returns the
-        activated gates, the new hidden states and the new memories.
+        activated gates, the new hidden states and the new memories. All
+        four gates take one ``tanh``, the sigmoid ones as
+        sigma(x) = 1/2 + tanh(x/2)/2, which stays in [0, 1] and cannot overflow.
         """
-        pre = hidden @ self.weights.value[:, self.input_dim:].T
-        pre += gates_x
-        gates = logistic(pre)
+        gates = hidden @ self.weights.value[:, self.input_dim:].T
+        gates += gates_x
+        gates *= self._scale
+        np.tanh(gates, out=gates)
+        gates *= self._scale
+        gates += self._offset
         n = self.hidden_dim
-        np.tanh(pre[..., 2 * n:3 * n], out=gates[..., 2 * n:3 * n])
-        gate_in, gate_forget, candidate, gate_out = (gates[..., k * n:(k + 1) * n]
-                                                     for k in range(4))
+        gate_in, gate_forget = gates[..., :n], gates[..., n:2 * n]
+        candidate, gate_out = gates[..., 2 * n:3 * n], gates[..., 3 * n:]
         memory = gate_forget * memory
         memory += gate_in * candidate
         return gates, gate_out * np.tanh(memory), memory

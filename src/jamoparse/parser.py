@@ -53,6 +53,8 @@ class TrainSettings:
     def __post_init__(self):
         if self.epochs < 0:
             raise ValueError("epochs must be >= 0")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if self.hidden_dim < 1:
             raise ValueError("hidden_dim must be positive")
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
@@ -100,20 +102,38 @@ class TransitionScorer:
             return T.LEFT_ARC, index
         return T.RIGHT_ARC, index - self.n_labels
 
-    def feature_table(self, encoded: Node) -> np.ndarray:
-        """The placeholder row stacked above the encoder's rows: token i is row i."""
-        return np.concatenate([self.placeholder.value[None], encoded.value])
+    def feature_table(self, encoded: Node) -> tuple[np.ndarray, np.ndarray]:
+        """``(rows, products)``: a sentence's feature rows and their products with ``W1``.
 
-    def scores(self, table: np.ndarray, rows: list[int]) -> tuple[np.ndarray, np.ndarray]:
-        """(hidden layer, one score per output) for the features at ``rows`` of ``table``."""
+        The rows are the placeholder stacked above the encoder's rows, so
+        token i is row i. ``W1`` has one block of ``dim_encoder`` columns per
+        feature slot; ``products[i, :, k]`` is block k times row i, the share
+        of row i in the hidden layer when it fills slot k (Chen & Manning
+        2014). One GEMM computes them all, reading ``W1`` uncopied.
+        """
+        rows = np.concatenate([self.placeholder.value[None], encoded.value])
+        weight = self.hidden_weight.value
+        products = rows @ weight.reshape(4 * weight.shape[0], -1).T
+        return rows, products.reshape(rows.shape[0], weight.shape[0], 4)
+
+    def scores(self, table: tuple[np.ndarray, np.ndarray],
+               rows: list[int]) -> tuple[np.ndarray, np.ndarray]:
+        """(hidden layer, one score per output) for the features at ``rows`` of ``table``.
+
+        ``table`` is :meth:`feature_table`'s; the hidden layer's input is
+        ``b1`` plus one product per feature slot.
+        """
+        products = table[1]
         pre = self.hidden_bias.value.copy()
-        pre += self.hidden_weight.value @ table[rows].reshape(-1)
-        hidden = np.tanh(pre)
+        for slot, row in enumerate(rows):
+            pre += products[row, :, slot]
+        hidden = np.tanh(pre, out=pre)
         scores = self.out_bias.value.copy()
         scores += self.out_weight.value @ hidden
         return hidden, scores
 
-    def hinge_loss(self, encoded: Node, table: np.ndarray, steps: list[tuple]) -> Node:
+    def hinge_loss(self, encoded: Node, table: tuple[np.ndarray, np.ndarray],
+                   steps: list[tuple]) -> Node:
         """Sum of score[wrong] - score[correct] over ``steps``, as one node.
 
         ``table`` is :meth:`feature_table` of ``encoded``; each step is the
@@ -121,6 +141,7 @@ class TransitionScorer:
         The backward pass takes one GEMM per weight over all steps and
         scatters the feature gradient into the placeholder and ``encoded``.
         """
+        stacked = table[0]
         rows, hidden, scores, wrong, correct = (np.array(column) for column in zip(*steps))
         taken = np.arange(len(steps))
         out = Node(np.sum(scores[taken, wrong] - scores[taken, correct]),
@@ -134,10 +155,10 @@ class TransitionScorer:
             _accumulate(self.out_weight, d_scores.T @ hidden)
             _accumulate(self.out_bias, d_scores.sum(axis=0))
             d_pre = (d_scores @ self.out_weight.value) * (1.0 - hidden * hidden)
-            features = table[rows]  # (steps, 4, dim)
+            features = stacked[rows]  # (steps, 4, dim)
             _accumulate(self.hidden_weight, d_pre.T @ features.reshape(len(steps), -1))
             _accumulate(self.hidden_bias, d_pre.sum(axis=0))
-            d_table = np.zeros_like(table)
+            d_table = np.zeros_like(stacked)
             np.add.at(d_table, rows, (d_pre @ self.hidden_weight.value).reshape(features.shape))
             _accumulate(self.placeholder, d_table[0])
             _accumulate(encoded, d_table[1:])

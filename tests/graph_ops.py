@@ -10,7 +10,7 @@ from typing import Sequence
 
 import numpy as np
 
-from jamoparse.autograd import Node, Parameter, ShapeMismatchError, _accumulate, logistic
+from jamoparse.autograd import Node, Parameter, ShapeMismatchError, _accumulate
 
 
 def _add_at(node: Node, index, grad) -> None:
@@ -119,6 +119,19 @@ def tanh(a: Node) -> Node:
 
     out.backward_fn = backward_fn
     return out
+
+
+def logistic(x: np.ndarray) -> np.ndarray:
+    """Elementwise ``1 / (1 + exp(-x))`` on a plain array.
+
+    ``exp`` only ever sees ``-|x|``, so it cannot overflow: the result is
+    ``1 / (1 + e)`` where ``x >= 0`` and ``e / (1 + e)`` elsewhere.
+    """
+    e = np.exp(-np.abs(x))
+    value = np.maximum(e, x >= 0)  # 1 where x >= 0 (there e <= 1), else e
+    e += 1.0
+    value /= e
+    return value
 
 
 def sigmoid(a: Node) -> Node:

@@ -1,11 +1,14 @@
 """The fused BiLSTM node against the node-per-gate graph it replaced."""
+import warnings
+
 import numpy as np
 import pytest
 
 from jamoparse.autograd import Parameter, backward, concat
 from jamoparse.nn import LSTMCell, ParameterStore, bilstm
 
-from graph_ops import add, add_n, affine, constant, mul, row, sigmoid, tanh, vslice, vsum
+from graph_ops import (add, add_n, affine, constant, logistic, mul, row, sigmoid, tanh, vslice,
+                       vsum)
 
 
 def reference_step(cell, x, state):
@@ -142,3 +145,28 @@ def test_lengths_must_be_positive_sorted_and_cover_the_rows(lengths):
     fwd, bwd = LSTMCell(store, "fwd", 2, 2), LSTMCell(store, "bwd", 2, 2)
     with pytest.raises(ValueError, match="lengths"):
         bilstm(fwd, bwd, constant(np.ones((3, 2))), lengths)
+
+
+EXTREMES = [0.0, 40.0, -40.0, 800.0, -800.0, 1e300, -1e300, 0.5, -3.0]
+
+
+@pytest.mark.parametrize("dtype,extremes,tolerance", [
+    (np.float64, EXTREMES, 2.3e-16),
+    (np.float32, EXTREMES[:5] + EXTREMES[7:], 1.2e-7),  # 1e300 is no float32
+])
+def test_step_gates_on_extreme_preactivations(dtype, extremes, tolerance):
+    # zero previous states: the pre-activation is gates_x, each value in every gate block
+    pre = np.repeat(np.array(extremes, dtype=dtype)[:, None], 4, axis=1)
+    store = ParameterStore(seed=0, dtype=dtype)
+    cell = LSTMCell(store, "cell", 1, 1)
+    zeros = np.zeros((len(extremes), 1), dtype=dtype)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        gates, hidden, memory = cell.step(pre, zeros, zeros)
+    assert gates.dtype == hidden.dtype == memory.dtype == dtype
+    assert np.all(np.isfinite(gates)) and np.all(np.isfinite(hidden))
+    sigmoid_gates = gates[:, [0, 1, 3]]
+    assert np.all((sigmoid_gates >= 0.0) & (sigmoid_gates <= 1.0))
+    reference = logistic(pre[:, :1].astype(np.float64))
+    assert np.max(np.abs(sigmoid_gates - reference)) <= tolerance
+    assert np.array_equal(gates[:, 2], np.tanh(pre[:, 2]))

@@ -179,6 +179,7 @@ class TestTrainParseEval:
         ("--learning-rate", "0", "learning_rate must be a finite positive number"),
         ("--learning-rate", "-0.1", "learning_rate must be a finite positive number"),
         ("--epochs", "-2", "epochs must be >= 0"),
+        ("--seed", "-1", "seed must be >= 0"),
     ])
     def test_bad_train_setting_exits_1_without_a_model(self, tmp_path, capsys,
                                                        toy_treebank_path, flag, value, message):
@@ -477,6 +478,11 @@ class TestModelHeaderTypes:
         (set_field("vocabularies", "word", "tokens", 0, "모르는말"), "vocabularies.word.tokens"),
         (set_field("vocabularies", "jamo", "tokens", 1, "<tail>"), "vocabularies.jamo.tokens"),
         (lambda header: header.pop("seed"), "seed"),
+        # a repeated entry: the vocabulary or the store would refuse it as a plain ValueError
+        (set_field("vocabularies", "word", "tokens", -1, "갔다"), "vocabularies.word.tokens"),
+        (set_field("vocabularies", "label", "tokens", -1, "nsubj"),
+         "vocabularies.label.tokens"),
+        (set_field("parameters", 1, "name", "jamo/emb"), "parameters[1].name"),
     ])
     def test_bad_header_type_exits_1_without_traceback(self, tmp_path, tiny_model, edit, field):
         model = tmp_path / "edited.model"

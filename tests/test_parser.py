@@ -6,6 +6,7 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from jamoparse import transition as T
 from jamoparse.autograd import backward, concat
@@ -239,6 +240,36 @@ class TestScorer:
         indices = np.flatnonzero(scorer.legal_mask(config))
         kinds = {scorer.transition_of(int(i))[0] for i in indices}
         assert kinds == set(config.legal_kinds())
+
+    @settings(max_examples=60, deadline=None)
+    @given(dims=st.tuples(st.integers(1, 6), st.integers(1, 5), st.integers(1, 3)),
+           tokens=st.integers(1, 6), dtype=st.sampled_from([np.float64, np.float32]),
+           seed=st.integers(0, 2**16), data=st.data())
+    def test_precomputed_scores_match_straight_line_oracle(self, dims, tokens, dtype, seed,
+                                                           data):
+        dim, hidden_dim, n_labels = dims
+        rows = data.draw(st.lists(st.integers(0, tokens), min_size=4, max_size=4), label="rows")
+        store = ParameterStore(seed=seed, dtype=dtype)
+        scorer = TransitionScorer(store, dim, n_labels, hidden_dim)
+        rng = np.random.default_rng(seed)
+        for param in (scorer.placeholder, scorer.hidden_bias, scorer.out_bias):
+            param.value[:] = rng.normal(size=param.value.shape)
+        encoded = rng.normal(size=(tokens, dim)).astype(dtype)
+        got_hidden, got_scores = scorer.scores(scorer.feature_table(constant(encoded, dtype)),
+                                               rows)
+        # row 0 is the placeholder, row i token i
+        stacked = np.concatenate([scorer.placeholder.value[None], encoded]).astype(np.float64)
+        weight, bias = (p.value.astype(np.float64) for p in (scorer.hidden_weight,
+                                                              scorer.hidden_bias))
+        hidden = np.tanh(weight @ stacked[rows].reshape(-1) + bias)
+        scores = scorer.out_weight.value.astype(np.float64) @ hidden + scorer.out_bias.value
+        assert got_hidden.dtype == got_scores.dtype == dtype
+        if dtype == np.float64:
+            assert np.max(np.abs(got_hidden - hidden)) <= 1e-12
+            assert np.max(np.abs(got_scores - scores)) <= 1e-12
+        else:
+            np.testing.assert_allclose(got_hidden, hidden, rtol=1e-5, atol=1e-6)
+            np.testing.assert_allclose(got_scores, scores, rtol=1e-5, atol=1e-6)
 
 
 # The per-index transition choice that legal_mask, correct_mask and best_index
@@ -564,7 +595,7 @@ class TestTraining:
         assert train(sentences, None, config, settings).history == first.history
 
     @pytest.mark.parametrize("field,value", [
-        ("epochs", -1), ("hidden_dim", 0), ("learning_rate", 0.0),
+        ("epochs", -1), ("seed", -1), ("hidden_dim", 0), ("learning_rate", 0.0),
         ("learning_rate", float("nan")), ("learning_rate", float("inf")),
         ("optimizer", "adagrad"), ("oracle", "statc"),
     ])
