@@ -1,7 +1,9 @@
 """Reverse-mode differentiation over dense numpy arrays.
 
 A graph is assembled dynamically while the forward pass runs and is torn
-down afterwards; only Parameter gradients survive a backward() call. A
+down afterwards; only Parameter gradients survive a backward() call.
+Every gradient, a Parameter's included, is None until something writes
+one, so a model that is only read holds its values alone. A
 backward closure never holds its own output node, so a graph has no
 reference cycles and is freed by reference counting as soon as it is
 dropped, without waiting for Python's cyclic garbage collector.
@@ -37,13 +39,16 @@ class Node:
 
 
 class Parameter(Node):
-    """Named leaf tensor with a persistent, same-shaped gradient slot.
+    """Named leaf tensor whose gradient persists across backward() calls.
 
-    A row-tracked parameter (``track_rows``: a 2-d lookup table) keeps in
-    ``rows`` the set of row indices :func:`gather` has written gradient into
-    since the gradient was last cleared; its gradient is zero outside them,
-    so it must receive gradient through :func:`gather` only. ``rows`` is None
-    for every other parameter.
+    ``grad`` is None until a backward pass or
+    :meth:`~jamoparse.nn.ParameterStore.dense` gives it a same-shaped array;
+    from then on it accumulates until cleared. A row-tracked parameter
+    (``track_rows``: a 2-d lookup table) keeps in ``rows`` the set of row
+    indices :func:`gather` has written gradient into since the gradient
+    was last cleared; its gradient is zero outside them, so it must
+    receive gradient through :func:`gather` only. ``rows`` is None for
+    every other parameter.
     """
 
     __slots__ = ("name", "rows")
@@ -51,7 +56,6 @@ class Parameter(Node):
     def __init__(self, name: str, value: np.ndarray, track_rows: bool = False):
         super().__init__(value)
         self.name = name
-        self.grad = np.zeros(value.shape, dtype=value.dtype)  # pages stay untouched until written
         self.rows = set() if track_rows else None
 
     def __repr__(self):

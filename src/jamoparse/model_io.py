@@ -20,6 +20,7 @@ import os
 
 import numpy as np
 
+from .autograd import ShapeMismatchError
 from .encoder import UnitConfig
 from .nn import ParameterStore
 from .parser import TrainedModel
@@ -199,7 +200,10 @@ def load_model(path) -> TrainedModel:
         if handle.tell() != size:
             raise CorruptModelError("trailing bytes after parameters")
 
-    config = UnitConfig.from_dict(header["config"])
+    try:
+        config = UnitConfig.from_dict(header["config"])
+    except ValueError as error:  # four ints, but no model has these dimensions
+        raise _bad_field("config", "the dimensions of a model (%s)" % error) from None
     vocabs = {}
     for kind, payload in header["vocabularies"].items():
         try:
@@ -209,8 +213,12 @@ def load_model(path) -> TrainedModel:
                              "a list of distinct strings") from None
     # binding the encoder and scorer re-checks every shape against the vocabularies,
     # and would create, with a fresh initialisation, any parameter the file lacks
-    model = TrainedModel(config, vocabs["jamo"], vocabs["char"], vocabs["word"],
-                         vocabs["label"], store, header["hidden_dim"])
+    try:
+        model = TrainedModel(config, vocabs["jamo"], vocabs["char"], vocabs["word"],
+                             vocabs["label"], store, header["hidden_dim"])
+    except ShapeMismatchError as error:
+        raise CorruptModelError("header config, hidden_dim or vocabularies do not fit the "
+                                "stored arrays: %s" % error) from None
     created = store.names()[len(header["parameters"]):]
     if created:
         raise CorruptModelError("model file lacks parameter(s) %s" % ", ".join(created))

@@ -111,8 +111,11 @@ class ParameterStore:
 
         Returns the two 1-d arenas and, per dense parameter in creation
         order, its name and slice; ``value`` and ``grad`` become reshaped
-        views of that slice, so no second copy survives. Each segment starts
-        on an ``ALIGN``-byte boundary and the gaps stay zero. The first call
+        views of that slice, so no second copy survives. The gradient arena
+        is made here: it holds any gradient accumulated before packing and
+        zeros elsewhere, so a store that is never packed (a loaded model
+        that only parses) holds no dense gradient. Each segment starts on
+        an ``ALIGN``-byte boundary and the gaps stay zero. The first call
         packs; adding a dense parameter afterwards raises RuntimeError.
         """
         if self._arena is None:
@@ -126,18 +129,19 @@ class ParameterStore:
             values, grads = _aligned_zeros(end, self.dtype), _aligned_zeros(end, self.dtype)
             for (_, param), (_, part) in zip(dense, segments):
                 values[part] = param.value.reshape(-1)
-                grads[part] = param.grad.reshape(-1)
+                if param.grad is not None:
+                    grads[part] = param.grad.reshape(-1)
                 param.value = values[part].reshape(param.value.shape)
-                param.grad = grads[part].reshape(param.grad.shape)
+                param.grad = grads[part].reshape(param.value.shape)
             self._arena = values, grads, segments
         return self._arena
 
     def zero_gradients(self) -> None:
-        """One fill of the gradient arena, plus each table's touched rows."""
+        """One fill of the gradient arena, plus each touched table's rows."""
         # zero bytes are +0.0; numpy fills a byte view with memset, about a quarter faster
         self.dense()[1].view(np.uint8).fill(0)
-        for _, table in self.tables():
-            table.grad[live_index(table)] = 0.0
+        for _, table, live in touched_tables(self):
+            table.grad[live] = 0.0
             table.rows.clear()
 
     def state_dict(self) -> dict[str, np.ndarray]:
@@ -334,6 +338,15 @@ def live_index(table: Parameter) -> np.ndarray:
     return np.array(sorted(table.rows), dtype=np.intp)
 
 
+def touched_tables(store: ParameterStore) -> list[tuple[str, Parameter, np.ndarray]]:
+    """Name, table and :func:`live_index` of each row-tracked table holding gradient.
+
+    A table that no backward pass has reached since the last clear is left
+    out; its gradient may not exist yet.
+    """
+    return [(name, table, live_index(table)) for name, table in store.tables() if table.rows]
+
+
 class Sgd:
     """Plain stochastic gradient descent."""
 
@@ -343,8 +356,7 @@ class Sgd:
     def step(self, store: ParameterStore) -> None:
         values, grads, _ = store.dense()
         values -= self.learning_rate * grads
-        for _, table in store.tables():
-            live = live_index(table)
+        for _, table, live in touched_tables(store):
             table.value[live] -= self.learning_rate * table.grad[live]
         store.zero_gradients()
 
@@ -383,10 +395,7 @@ class Adam:
         _, m, v = self._arena
         for name, part in segments:
             self._step(name, values[part], grads[part], m[part], v[part])
-        for name, table in store.tables():
-            live = live_index(table)
-            if not live.size:
-                continue
+        for name, table, live in touched_tables(store):
             if name not in self._m:
                 self._m[name] = np.zeros(table.value.shape, table.value.dtype)
                 self._v[name] = np.zeros(table.value.shape, table.value.dtype)
@@ -451,20 +460,20 @@ def clip_gradients(store: ParameterStore, max_norm: float) -> float:
     Scaling touches the arena and those rows only.
     """
     _, grads, _ = store.dense()
-    tables = [(table, live_index(table)) for _, table in store.tables()]
+    tables = touched_tables(store)
     total = 0.0
     scratch = np.empty(min(grads.size, CHUNK), dtype=grads.dtype)
     for start in range(0, grads.size, CHUNK):
         part = grads[start:start + CHUNK]
         total += float(np.sum(np.square(part, out=scratch[:part.size])))
-    for table, live in tables:
+    for _, table, live in tables:
         grad = table.grad[live]
         total += float(np.sum(grad * grad))
     norm = math.sqrt(total)
     if norm > max_norm and norm > 0.0:
         factor = max_norm / norm
         grads *= factor
-        for table, live in tables:
+        for _, table, live in tables:
             table.grad[live] *= factor
     return norm
 

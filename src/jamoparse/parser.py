@@ -327,8 +327,11 @@ def train(train_sentences: list[ConlluSentence],
     """Max-margin training with per-epoch dev model selection.
 
     Raises MalformedTreeError on gold heads that do not form a tree,
-    NonProjectiveError on non-projective training input and EmptyFormError
-    on a dev sentence with an empty form, all before the first epoch. With
+    NonProjectiveError on non-projective training input, EmptyFormError on
+    a dev sentence with an empty form, and ValueError, naming the token, on
+    an embedding vector that is not a ``(dim_word,)`` array or that holds a
+    non-finite value and is written into the word table; all of them before
+    the first epoch. With
     a dev treebank the best-LAS parameter snapshot wins; otherwise the last
     epoch does. ``log`` receives one machine-parseable line per epoch.
 
@@ -340,8 +343,15 @@ def train(train_sentences: list[ConlluSentence],
     """
     if not train_sentences:
         raise ValueError("empty training treebank")
-    if embedding_vectors and config.dim_word == 0:
-        raise ValueError("pre-trained embeddings need dim_word > 0")
+    if embedding_vectors:
+        if config.dim_word == 0:
+            raise ValueError("pre-trained embeddings need dim_word > 0")
+        shape = (config.dim_word,)
+        wrong = next((token for token, vector in embedding_vectors.items()
+                      if getattr(vector, "shape", None) != shape), None)
+        if wrong is not None:
+            raise ValueError("pre-trained vector for %r has shape %s, expected %s"
+                             % (wrong, np.shape(embedding_vectors[wrong]), shape))
     for num, sentence in enumerate(train_sentences, start=1):
         problem = untrainable_reason(sentence)
         if problem == "non-projective":
@@ -362,7 +372,12 @@ def train(train_sentences: list[ConlluSentence],
     result = TrainResult(config, jamo_vocab, char_vocab, word_vocab, label_vocab, store,
                          settings.hidden_dim, settings)
     if embedding_vectors:
-        load_embeddings(embedding_vectors, word_vocab, store["word/emb"].value)
+        table = store["word/emb"].value
+        load_embeddings(embedding_vectors, word_vocab, table)
+        finite = np.isfinite(table).all(axis=1)  # the rows no vector wrote are initialised
+        if not finite.all():
+            raise ValueError("pre-trained vector for %r is not finite"
+                             % word_vocab.token_of(int(np.argmin(finite))))
     store.dense()  # pack the arena here, in set-up, rather than inside the first update
 
     optimizer = OPTIMIZERS[settings.optimizer](settings.learning_rate)

@@ -14,6 +14,17 @@ def toy_treebank_path():
     return TOY_TREEBANK
 
 
+def gradient(param):
+    """``param.grad``, or zeros of the value's shape and dtype if none was written yet."""
+    return np.zeros_like(param.value) if param.grad is None else param.grad
+
+
+def clear_gradient(param):
+    """Zero ``param.grad`` in place, if it exists (a packed one stays in its arena)."""
+    if param.grad is not None:
+        param.grad.fill(0.0)
+
+
 def numeric_gradients(build_loss, params, step=1e-5):
     """Central finite differences of a scalar-valued graph builder.
 
@@ -39,11 +50,11 @@ def numeric_gradients(build_loss, params, step=1e-5):
 def assert_gradients_match(build_loss, params, rel_tol=1e-4, step=1e-5):
     """Backprop ``build_loss`` once and compare against finite differences."""
     for param in params:
-        param.grad.fill(0.0)
+        clear_gradient(param)
     backward(build_loss())
-    analytic = {p.name: p.grad.copy() for p in params}
+    analytic = {p.name: gradient(p).copy() for p in params}
     for param in params:
-        param.grad.fill(0.0)
+        clear_gradient(param)
     numeric = numeric_gradients(build_loss, params, step=step)
     for param in params:
         a = analytic[param.name].reshape(-1)

@@ -11,6 +11,7 @@ import pytest
 
 from jamoparse.cli import decompose_lines, main
 from jamoparse.data import read_conllu
+from jamoparse.model_io import CorruptModelError, load_model
 
 
 def run_cli(capsys, *argv):
@@ -513,6 +514,30 @@ class TestModelHeaderTypes:
         assert proc.returncode == 1
         assert "Traceback" not in proc.stderr
         assert "header field %r" % field in proc.stderr
+        assert not (tmp_path / "out.conllu").exists()
+
+    @pytest.mark.parametrize("edit,named", [
+        (set_field("config", "dim_encoder", 7), "header field 'config'"),
+        (lambda header: header["config"].update(dim_jamo=0, dim_char=0, dim_word=0),
+         "header field 'config'"),
+        (set_field("config", "dim_word", 5), "parameter 'word/emb'"),
+        (set_field("hidden_dim", 5), "parameter 'scorer/W1'"),
+        (lambda header: header["vocabularies"]["word"]["tokens"].pop(), "parameter 'word/emb'"),
+    ], ids=["odd-encoder", "no-word-tier", "dim-word", "hidden-dim", "word-vocabulary-short"])
+    def test_header_the_model_refuses_is_corrupt(self, tmp_path, tiny_model, capsys, edit,
+                                                  named):
+        # every field has its type, but the model cannot have this content
+        model = tmp_path / "edited.model"
+        model.write_bytes(tiny_model.read_bytes())
+        rewrite_header(model, edit)
+        with pytest.raises(CorruptModelError, match=named):
+            load_model(model)
+        text = tmp_path / "in.conllu"
+        text.write_text(GOOD, encoding="utf-8")
+        code, _, err = run_cli(capsys, "parse", "--model", str(model), "--input", str(text),
+                               "--output", str(tmp_path / "out.conllu"))
+        assert code == 1
+        assert named in err
         assert not (tmp_path / "out.conllu").exists()
 
     def test_renamed_parameter_is_not_replaced_by_a_fresh_one(self, tmp_path, tiny_model):

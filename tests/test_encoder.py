@@ -12,7 +12,7 @@ from jamoparse.nn import ParameterStore, bilstm
 from jamoparse.autograd import backward, concat
 from jamoparse.vocab import UNK
 
-from conftest import assert_gradients_match
+from conftest import assert_gradients_match, gradient
 from graph_ops import affine_tanh, constant, mul, pick, row, stack, vsum
 
 
@@ -350,7 +350,7 @@ def sentences(draw):
 def gradients_of(store, build):
     store.zero_gradients()
     backward(build())
-    grads = {name: p.grad.copy() for name, p in store.parameters()}
+    grads = {name: gradient(p).copy() for name, p in store.parameters()}
     store.zero_gradients()
     return grads
 
@@ -429,8 +429,8 @@ def test_batched_tiers_keep_float32():
     assert words.value.dtype == np.float32
     backward(vsum(words))
     for name, p in store.parameters():
-        assert p.grad.dtype == np.float32, name
-        assert np.any(p.grad != 0.0) == name.startswith(("jamo/", "char/")), name
+        assert gradient(p).dtype == np.float32, name
+        assert np.any(gradient(p) != 0.0) == name.startswith(("jamo/", "char/")), name
 
 
 def test_dropped_encoder_graph_leaves_no_reference_cycles():

@@ -22,18 +22,19 @@ from jamoparse.encoder import SentenceEncoder, UnitConfig
 from jamoparse.nn import ALIGN, CHUNK, Adam, ParameterStore, Sgd, clip_gradients
 from jamoparse.parser import TrainSettings, TransitionScorer, sentence_training_pass
 
+from conftest import clear_gradient, gradient
 from graph_ops import add_n, constant, mul, row, vsum
 
 
 def reference_zero(store):
     for _, param in store.parameters():
-        param.grad.fill(0.0)
+        clear_gradient(param)
         if param.rows is not None:
             param.rows.clear()
 
 
 def reference_square_sum(param):
-    grad = param.grad
+    grad = gradient(param)
     if param.rows is not None:  # a table: scan for the rows with any gradient
         grad = grad[np.any(grad != 0, axis=1)]
     return float(np.sum(grad * grad))
@@ -44,9 +45,10 @@ def reference_dense_grads(store):
     pieces, end = [], 0
     for _, param in store.parameters():
         if param.rows is None:
-            pad = -end % (ALIGN // param.grad.itemsize)
-            pieces += [np.zeros(pad, dtype=param.grad.dtype), param.grad.ravel()]
-            end += pad + param.grad.size
+            grad = gradient(param)
+            pad = -end % (ALIGN // grad.itemsize)
+            pieces += [np.zeros(pad, dtype=grad.dtype), grad.ravel()]
+            end += pad + grad.size
     return np.concatenate(pieces)
 
 
@@ -62,7 +64,7 @@ def reference_clip(store, max_norm):
     if norm > max_norm and norm > 0.0:
         factor = max_norm / norm
         for _, param in store.parameters():
-            param.grad *= factor
+            gradient(param)[...] *= factor
     return norm
 
 
@@ -72,7 +74,7 @@ class ReferenceSgd:
 
     def step(self, store):
         for _, param in store.parameters():
-            param.value -= self.learning_rate * param.grad
+            param.value -= self.learning_rate * gradient(param)
         reference_zero(store)
 
 
@@ -86,7 +88,7 @@ class ReferenceAdam:
 
     def step(self, store):
         for name, param in store.parameters():
-            grad = param.grad
+            grad = gradient(param)
             mask = grad != 0
             if not mask.any():
                 continue
@@ -159,13 +161,15 @@ def feed(store, lookups, dense):
              for index, upstream in lookups]
     backward(add_n(terms))
     for name, grad in dense.items():
-        store[name].grad += grad
+        param = store[name]
+        param.grad = gradient(param)  # the same array, if it exists
+        param.grad += grad
 
 
 def assert_same_state(store, ref_store, opt, ref_opt):
     for (name, param), (_, ref_param) in zip(store.parameters(), ref_store.parameters()):
         assert np.array_equal(param.value, ref_param.value), name
-        assert np.array_equal(param.grad, ref_param.grad), name
+        assert np.array_equal(gradient(param), gradient(ref_param)), name
         assert not np.any(param.grad), name
     assert opt._t == ref_opt._t
     assert set(opt._m) <= {name for name, _ in store.tables()}  # dense moments: the arenas
@@ -322,6 +326,19 @@ def test_zero_gradients_clears_touched_rows():
     for name, param in store.parameters():
         assert not np.any(param.grad), name
     assert store["emb"].rows == set()
+
+
+def test_update_of_a_store_whose_tables_were_never_gathered():
+    store = make_store(np.float64)
+    before = store.state_dict()
+    store.zero_gradients()
+    assert clip_gradients(store, 1.0) == 0.0
+    Sgd(0.1).step(store)
+    Adam(0.1).step(store)
+    for name, param in store.parameters():
+        assert np.array_equal(param.value, before[name]), name
+    for name, table in store.tables():
+        assert table.grad is None, name
 
 
 def test_negative_row_index_is_tracked_once():

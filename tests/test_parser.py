@@ -583,6 +583,30 @@ class TestTraining:
             train([good], None, config, TrainSettings(epochs=1),
                   embedding_vectors={"a": np.ones(4)})
 
+    def test_embedding_of_wrong_length_rejected_before_any_parameter(self, monkeypatch):
+        def no_store(*args, **kwargs):
+            pytest.fail("parameter store built before the inputs were checked")
+
+        monkeypatch.setattr("jamoparse.parser.ParameterStore", no_store)
+        good = ConlluSentence([Token("a", 0, "root"), Token("b", 1, "d")])
+        config = UnitConfig(dim_jamo=4, dim_char=0, dim_word=4, dim_encoder=8)
+        for short in (np.ones(3), np.ones((1, 4)), np.float64(0.5)):
+            with pytest.raises(ValueError, match="vector for 'b' has shape"):
+                train([good], None, config, TrainSettings(epochs=1),
+                      embedding_vectors={"a": np.ones(4), "b": short})
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_embedding_rejected_before_the_first_epoch(self, monkeypatch, value):
+        def no_epoch(*args, **kwargs):
+            pytest.fail("training started before the embeddings were checked")
+
+        monkeypatch.setattr("jamoparse.parser.sentence_training_pass", no_epoch)
+        good = ConlluSentence([Token("a", 0, "root"), Token("b", 1, "d")])
+        config = UnitConfig(dim_jamo=4, dim_char=0, dim_word=4, dim_encoder=8)
+        vectors = {"a": np.ones(4), "new": np.array([0.0, value, 0.0, 0.0])}
+        with pytest.raises(ValueError, match="vector for 'new' is not finite"):
+            train([good], None, config, TrainSettings(epochs=1), embedding_vectors=vectors)
+
     def test_history_reports_gradient_norms(self, toy_treebank_path_module):
         sentences = read_conllu(toy_treebank_path_module)
         settings = TrainSettings(epochs=2, seed=9, learning_rate=0.01, hidden_dim=8)
@@ -731,7 +755,7 @@ class TestModelIO:
         params = [p for _, p in load_model(path).store.parameters()]
         for i, param in enumerate(params):
             assert param.value.flags.writeable and param.value.flags.owndata, param.name
-            assert not np.any(param.grad), param.name
+            assert param.grad is None, param.name
             assert not any(np.shares_memory(param.value, other.value) for other in params[:i])
 
     def test_save_and_load_hold_no_second_copy_of_the_parameters(self, tmp_path):
@@ -748,13 +772,33 @@ class TestModelIO:
             _, save_peak = tracemalloc.get_traced_memory()
             tracemalloc.reset_peak()
             model = load_model(path)
-            kept, load_peak = tracemalloc.get_traced_memory()  # kept: values and gradients
+            kept, load_peak = tracemalloc.get_traced_memory()  # kept: the values
         finally:
             tracemalloc.stop()
         size = path.stat().st_size
         assert model.store.count() * 8 > 0.95 * size
         assert save_peak < 0.25 * size
         assert load_peak - kept < 0.25 * size
+
+    def test_loaded_model_parses_without_allocating_gradients(self, tmp_path):
+        good = ConlluSentence([Token("a", 0, "root"), Token("b", 1, "d")])
+        vectors = {"w%d" % i: np.zeros(400) for i in range(5000)}
+        config = UnitConfig(dim_jamo=4, dim_char=0, dim_word=400, dim_encoder=8)
+        result = train([good], None, config, TrainSettings(epochs=0, hidden_dim=4),
+                       embedding_vectors=vectors)
+        path = tmp_path / "model.bin"
+        save_model(TrainedModel.from_training(result), path)
+        del result, vectors
+        tracemalloc.start()
+        try:
+            model = load_model(path)
+            kept, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert kept < 1.1 * path.stat().st_size  # the values alone, no gradient beside them
+        assert model.parse(["w7", "b", "모르는말"])
+        for name, param in model.store.parameters():
+            assert param.grad is None, name
 
     def test_truncated_file_is_corrupt(self, overfit_result, tmp_path):
         _, result = overfit_result
