@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import unicodedata
 from collections import Counter
 
 from . import data, hangul
@@ -137,12 +138,17 @@ def cmd_eval(args) -> int:
 
 
 def decompose_lines(text: str) -> list[str]:
-    """One line per character: form + triple, or form + ATOMIC."""
+    """One line per character: form + triple, or form + ATOMIC.
+
+    A control character's form is written ``U+XXXX``, so a newline or tab
+    in ``text`` cannot split or pad a record.
+    """
     lines = []
     for char in text:
         triple = hangul.decompose(char)
         if triple is None:
-            lines.append("%s\tATOMIC" % char)
+            form = "U+%04X" % ord(char) if unicodedata.category(char) == "Cc" else char
+            lines.append("%s\tATOMIC" % form)
         else:
             lines.append("%s\t%s\t%s\t%s" % (char, triple.head, triple.vowel, triple.tail))
     return lines

@@ -68,6 +68,9 @@ class UnitConfig:
 
 #: Word-dropout constant: replace a word by UNK with prob a/(a + freq).
 WORD_DROPOUT_ALPHA = 0.25
+#: Most forms a memo of composed word vectors holds (see SentenceEncoder.encode):
+#: 6.6 MB of rows at the default 100-dimensional composed vector.
+MEMO_FORMS = 8192
 
 
 class SentenceEncoder:
@@ -175,23 +178,43 @@ class SentenceEncoder:
                 return self.word_vocab.unk_id
         return idx
 
-    def encode(self, words: list[str], rng=None) -> Node:
+    def encode(self, words: list[str], rng=None, memo: dict | None = None) -> Node:
         """Context vectors as one ``(len(words), dim_encoder)`` node, row i for word i.
 
         Given an ``rng``, frequency-based word dropout draws from it at the
-        lookup tier (sub-word tiers always see the real spelling).
+        lookup tier (sub-word tiers always see the real spelling). Given a
+        ``memo``, a dict from form to composed row, the composed vectors
+        are read through it (see :meth:`_memo_repr`); no gradient then
+        reaches the sub-word tiers, so pass one to parse only.
         """
         if not words:
             raise ValueError("cannot encode an empty sentence")
         parts = []
         if self.config.uses_chars:
-            parts.append(self.word_repr(words))
+            parts.append(self.word_repr(words) if memo is None else self._memo_repr(words, memo))
         if self.config.dim_word > 0:
             parts.append(gather(self.word_emb, [self._word_id(w, rng) for w in words]))
         sequence = parts[0] if len(parts) == 1 else concat(parts)
         for fwd, bwd in ((self.layer1_fwd, self.layer1_bwd), (self.layer2_fwd, self.layer2_bwd)):
             sequence = bilstm(fwd, bwd, sequence)
         return sequence
+
+    def _memo_repr(self, words: list[str], memo: dict) -> Node:
+        """:meth:`word_repr` of ``words`` as a graph-free node, composed once per form per ``memo``.
+
+        One :meth:`word_repr` call composes the distinct forms ``memo``
+        lacks, in first-occurrence order, and stores their rows; a memo that
+        would pass ``MEMO_FORMS`` forms is cleared first. A row composed in
+        another batch can differ from this sentence's own in the last bits.
+        """
+        rows = {word: memo.get(word) for word in words}
+        new = [word for word, row in rows.items() if row is None]
+        if new:
+            rows.update(zip(new, self.word_repr(new).value))
+            if len(memo) + len(new) > MEMO_FORMS:
+                memo.clear()
+            memo.update((word, rows[word]) for word in new[:MEMO_FORMS])
+        return Node(np.stack([rows[word] for word in words]))
 
 
 def _blend(letters: Node, syllables: np.ndarray, weights: tuple[Parameter, ...],

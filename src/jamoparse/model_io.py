@@ -17,6 +17,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import secrets
 
 import numpy as np
 
@@ -58,18 +59,43 @@ def _header_payload(model: TrainedModel) -> dict:
 
 
 def save_model(model: TrainedModel, path) -> None:
-    """Write ``model`` to ``path``; each parameter goes from its array to the file uncopied."""
+    """Write ``model`` to ``path``; each parameter goes from its array to the file uncopied.
+
+    The bytes go to a new file beside ``path`` that replaces it only once
+    complete, so a failed save leaves any model already at ``path`` intact
+    and removes its partial file. A symlink's target is what gets
+    replaced; a ``path`` that exists and is not a regular file
+    (``/dev/null``, a pipe) is written in place.
+    """
+    if os.path.exists(path) and not os.path.isfile(path):
+        with open(path, "wb") as handle:
+            _write(model, handle)
+        return
+    target = os.path.realpath(path)  # a symlink keeps pointing at the model it names
+    directory, name = os.path.split(target)
+    partial = os.path.join(directory, ".%s.%s.partial" % (name, secrets.token_hex(8)))
+    # O_EXCL never opens a file someone else made; 0o666 gives open()'s permissions
+    descriptor = os.open(partial, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with open(descriptor, "wb") as handle:
+            _write(model, handle)
+        os.replace(partial, target)
+    except BaseException:
+        os.unlink(partial)
+        raise
+
+
+def _write(model: TrainedModel, handle) -> None:
     header = json.dumps(_header_payload(model), ensure_ascii=False, sort_keys=True,
                         separators=(",", ":")).encode("utf-8")
     head = ("%s %d\n%d\n" % (_MAGIC, FORMAT_VERSION, len(header))).encode("utf-8") + header
     digest = hashlib.sha256(head)
-    with open(path, "wb") as handle:
-        handle.write(head)
-        for _, param in model.store.parameters():
-            value = np.ascontiguousarray(param.value)
-            digest.update(value)
-            handle.write(value)
-        handle.write(digest.digest())
+    handle.write(head)
+    for _, param in model.store.parameters():
+        value = np.ascontiguousarray(param.value)
+        digest.update(value)
+        handle.write(value)
+    handle.write(digest.digest())
 
 
 def _is_int(value, minimum: int) -> bool:

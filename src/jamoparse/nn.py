@@ -28,7 +28,11 @@ class ParameterStore:
 
     Creation order is the iteration order. Asking for an existing name
     returns the stored parameter (after a shape check), which lets model
-    code bind against a store loaded from disk.
+    code bind against a store loaded from disk. ``version`` advances on
+    every write to the values through :meth:`load_state_dict` or an
+    optimizer step, so a cache of values computed from the parameters
+    knows when it is stale; a direct write to ``param.value`` leaves it as
+    it is.
     """
 
     def __init__(self, seed: int = 42, dtype=np.float64):
@@ -37,6 +41,7 @@ class ParameterStore:
         self.rng = np.random.default_rng(seed)
         self._params: dict[str, Parameter] = {}
         self._arena = None  # (values, grads, segments) once packed; see dense()
+        self.version = 0
 
     def _existing(self, name: str, shape: tuple[int, ...]) -> Parameter:
         param = self._params[name]
@@ -151,6 +156,7 @@ class ParameterStore:
         for name, value in state.items():
             param = self._existing(name, value.shape)
             param.value[...] = value
+        self.version += 1
 
 
 class LSTMCell:
@@ -359,6 +365,7 @@ class Sgd:
         for _, table, live in touched_tables(store):
             table.value[live] -= self.learning_rate * table.grad[live]
         store.zero_gradients()
+        store.version += 1
 
 
 class Adam:
@@ -405,6 +412,7 @@ class Adam:
                           m_live.reshape(-1), v_live.reshape(-1)):
                 table.value[live], m_table[live], v_table[live] = value, m_live, v_live
         store.zero_gradients()
+        store.version += 1
 
     def _step(self, name: str, value, grad, m, v) -> bool:
         """Step the 1-d ``value`` and moments where ``grad`` is nonzero; False if it is all zero.

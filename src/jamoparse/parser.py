@@ -204,14 +204,15 @@ def best_index(mask: np.ndarray, values: np.ndarray) -> int:
     return int(np.argmax(np.where(mask, values, -np.inf)))
 
 
-def greedy_parse(encoder: SentenceEncoder, scorer: TransitionScorer,
-                 forms: list[str]) -> list[tuple[int, int]]:
+def greedy_parse(encoder: SentenceEncoder, scorer: TransitionScorer, forms: list[str],
+                 memo: dict | None = None) -> list[tuple[int, int]]:
     """Parse one sentence; returns (head, label id) per token.
 
     The highest-scoring legal transition is applied until the terminal
-    configuration; ties break towards the lowest transition index.
+    configuration; ties break towards the lowest transition index. A
+    ``memo`` of composed word vectors goes to :meth:`SentenceEncoder.encode`.
     """
-    table = scorer.feature_table(encoder.encode(forms))
+    table = scorer.feature_table(encoder.encode(forms, memo=memo))
     config = T.ParserConfiguration(len(forms))
     steps = 0
     limit = 2 * len(forms)
@@ -234,8 +235,12 @@ def sentence_training_pass(encoder, scorer, sentence: ConlluSentence,
     whenever the margin is violated; the :meth:`TransitionScorer.hinge_loss`
     node returned backpropagates their sum, or is None without a violation.
     ``rng`` draws word dropout and exploration; without it, ``epoch`` must
-    come before ``settings.explore_from_epoch``.
+    come before ``settings.explore_from_epoch`` under the dynamic oracle,
+    or ValueError is raised before anything is encoded.
     """
+    explore = settings.oracle == "dynamic" and epoch >= settings.explore_from_epoch
+    if explore and rng is None:
+        raise ValueError("exploration at epoch %d needs an rng" % epoch)
     forms = sentence.forms
     gold_heads = sentence.head_array()
     gold_labels = [None] + [label_vocab.id_of(t.label) for t in sentence.tokens]
@@ -244,7 +249,6 @@ def sentence_training_pass(encoder, scorer, sentence: ConlluSentence,
     config = T.ParserConfiguration(len(forms))
     violations = []
     hinge_total = 0.0
-    explore = settings.oracle == "dynamic" and epoch >= settings.explore_from_epoch
     while not config.is_terminal():
         costs = T.transition_costs(config, gold_heads)
         rows = feature_rows(config)
@@ -277,7 +281,9 @@ class TrainedModel:
 
     Construction binds :attr:`encoder` and :attr:`scorer` to ``store``: on a
     fresh store this creates their parameters, encoder first; on a loaded
-    one it re-checks every shape against the vocabularies.
+    one it re-checks every shape against the vocabularies. Parsing
+    memoises each form's composed word vector; the memo is dropped when
+    ``store.version`` moves, and holds at most ``encoder.MEMO_FORMS`` forms.
     """
 
     config: UnitConfig
@@ -293,6 +299,8 @@ class TrainedModel:
                                        self.char_vocab, self.word_vocab)
         self.scorer = TransitionScorer(self.store, self.config.dim_encoder,
                                        len(self.label_vocab), self.hidden_dim)
+        self._memo: dict[str, np.ndarray] = {}
+        self._memo_version = self.store.version
 
     @classmethod
     def from_training(cls, result: "TrainResult") -> "TrainedModel":
@@ -301,8 +309,11 @@ class TrainedModel:
 
     def parse(self, forms: list[str]) -> list[tuple[int, str]]:
         """Heads and label strings for one tokenized sentence."""
+        if self._memo_version != self.store.version:
+            self._memo.clear()
+            self._memo_version = self.store.version
         return [(head, self.label_vocab.token_of(label))
-                for head, label in greedy_parse(self.encoder, self.scorer, forms)]
+                for head, label in greedy_parse(self.encoder, self.scorer, forms, self._memo)]
 
     def parse_sentence(self, forms: list[str]) -> ConlluSentence:
         return ConlluSentence([Token(form=form, head=head, label=label)

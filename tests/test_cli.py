@@ -61,6 +61,21 @@ class TestDecompose:
     def test_decompose_lines_helper(self):
         assert decompose_lines("") == []
         assert decompose_lines("?") == ["?\tATOMIC"]
+        assert decompose_lines("\x00\x7f\x85") == ["U+0000\tATOMIC", "U+007F\tATOMIC",
+                                                   "U+0085\tATOMIC"]
+
+    def test_newline_inside_input_file_keeps_one_record_per_line(self, tmp_path, capsys):
+        src = tmp_path / "in.txt"
+        src.write_text("가나\n다\n", encoding="utf-8")
+        code, out, _ = run_cli(capsys, "decompose", "--input", str(src))
+        assert code == 0
+        assert out.splitlines() == ["가\tㄱ\tㅏ\t∅", "나\tㄴ\tㅏ\t∅", "U+000A\tATOMIC",
+                                    "다\tㄷ\tㅏ\t∅"]
+
+    def test_tab_in_text_keeps_the_field_count(self, capsys):
+        code, out, _ = run_cli(capsys, "decompose", "가\t나")
+        assert code == 0
+        assert out.splitlines() == ["가\tㄱ\tㅏ\t∅", "U+0009\tATOMIC", "나\tㄴ\tㅏ\t∅"]
 
 
 class TestEvalCommand:

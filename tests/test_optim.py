@@ -261,6 +261,20 @@ def test_load_state_dict_writes_through_the_arena():
         assert np.array_equal(values[part], state[name].ravel()), name
 
 
+@pytest.mark.parametrize("write", ["sgd", "adam", "load_state_dict"])
+def test_every_write_to_the_values_advances_the_version(write):
+    store = make_store(np.float64)
+    before = store.version
+    if write == "load_state_dict":
+        store.load_state_dict(store.state_dict())
+    else:
+        (Sgd if write == "sgd" else Adam)(0.1).step(store)  # even one with no gradient
+    assert store.version == before + 1
+    store.zero_gradients()
+    clip_gradients(store, 1.0)
+    assert store.version == before + 1  # gradient work leaves the values alone
+
+
 def test_dense_parameter_added_after_packing_raises():
     store = make_store(np.float64)
     store.dense()

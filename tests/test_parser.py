@@ -1,6 +1,9 @@
 # -*- coding: utf-8 -*-
 import copy
 import gc
+import os
+import stat
+import threading
 import tracemalloc
 from itertools import product
 
@@ -15,7 +18,8 @@ from jamoparse.data import (ConlluSentence, Token, build_label_vocabulary, build
 from jamoparse.encoder import SentenceEncoder, UnitConfig
 from jamoparse.model_io import (CorruptModelError, ModelVersionError, TrainedModel,
                                 load_model, save_model)
-from jamoparse.nn import ParameterStore
+from jamoparse import encoder as encoder_module
+from jamoparse.nn import OPTIMIZERS, ParameterStore
 from jamoparse.parser import (MARGIN, EmptyFormError, MalformedTreeError, NonProjectiveError,
                               TrainSettings, TransitionScorer, best_index, feature_rows,
                               greedy_parse, sentence_training_pass, train)
@@ -450,6 +454,18 @@ class TestHingeLoss:
         for name, p in encoder.store.parameters():
             assert p.grad.dtype == np.float32, name
 
+    def test_exploring_without_an_rng_is_refused_before_encoding(self, monkeypatch):
+        sentences, encoder, scorer, label_v = toy_treebank_model()
+        settings = TrainSettings(explore_from_epoch=5)
+        monkeypatch.setattr(encoder, "encode", lambda *args: pytest.fail("encoded"))
+        for sentence in sentences:
+            with pytest.raises(ValueError, match="needs an rng"):
+                sentence_training_pass(encoder, scorer, sentence, label_v, settings, None, 5)
+        monkeypatch.undo()
+        static = TrainSettings(oracle="static", explore_from_epoch=5)
+        sentence_training_pass(encoder, scorer, sentences[0], label_v, static, None, 5)
+        sentence_training_pass(encoder, scorer, sentences[0], label_v, settings, None, 4)
+
     def test_dropped_loss_leaves_no_reference_cycles(self):
         sentences, encoder, scorer, label_v = toy_treebank_model()
         gc.collect()
@@ -519,6 +535,107 @@ class TestGreedyParse:
         # with all-zero scores: shift, shift, then right-arcs with label 0
         assert [h for h, _ in parsed] == [0, 1]
         assert [lab for _, lab in parsed] == [0, 0]
+
+
+MEMO_POOL = ["나는", "산을", "갔다", "학교에", "physics", "모르는말", "가", "다녀왔습니다", "x1"]
+
+
+def memo_model(seed=5):
+    """A fresh TrainedModel over the toy treebank's vocabularies (MEMO_POOL holds new forms too)."""
+    sentences = read_conllu(TOY_TREEBANK)
+    jamo_v, char_v, word_v, _ = build_vocabularies(sentences)
+    return sentences, TrainedModel(UnitConfig(6, 4, 4, 8), jamo_v, char_v, word_v,
+                                   build_label_vocabulary(sentences),
+                                   ParameterStore(seed=seed), hidden_dim=6)
+
+
+def clone(model):
+    """A fresh model, empty memo included, holding ``model``'s current weights."""
+    fresh = TrainedModel(model.config, model.jamo_vocab, model.char_vocab, model.word_vocab,
+                         model.label_vocab, ParameterStore(seed=99), model.hidden_dim)
+    fresh.store.load_state_dict(model.store.state_dict())
+    return fresh
+
+
+class TestWordVectorMemo:
+    @settings(max_examples=30, deadline=None)
+    @given(batch=st.lists(st.lists(st.sampled_from(MEMO_POOL), min_size=1, max_size=8),
+                          min_size=1, max_size=6), seed=st.integers(0, 2**16), data=st.data())
+    def test_memo_parse_matches_memo_free_parse(self, batch, seed, data):
+        _, model = memo_model(seed=seed)
+        order = data.draw(st.permutations(range(len(batch))), label="order")
+        for forms in (batch[i] for i in order):
+            assert model.parse(forms) == [
+                (head, model.label_vocab.token_of(label))
+                for head, label in greedy_parse(model.encoder, model.scorer, forms)]
+            memo_rows = np.stack([model._memo[form] for form in forms])
+            own_rows = model.encoder.word_repr(forms).value
+            assert np.max(np.abs(memo_rows - own_rows)) <= 1e-12
+
+    def test_known_forms_are_not_composed_again(self, monkeypatch):
+        _, model = memo_model()
+        composed = []
+        word_repr = model.encoder.word_repr
+        monkeypatch.setattr(model.encoder, "word_repr",
+                            lambda words: composed.append(list(words)) or word_repr(words))
+        model.parse(["나는", "산을", "나는", "갔다"])
+        model.parse(["갔다", "physics", "나는"])
+        model.parse(["산을", "나는"])
+        assert composed == [["나는", "산을", "갔다"], ["physics"]]
+
+    @pytest.mark.parametrize("change", ["adam", "sgd", "load_state_dict"])
+    def test_parse_after_a_parameter_change_matches_a_fresh_model(self, change):
+        sentences, model = memo_model()
+        forms = [s.forms for s in sentences[:6]]
+        before = [model.parse(f) for f in forms]
+        if change == "load_state_dict":
+            _, other = memo_model(seed=11)
+            model.store.load_state_dict(other.store.state_dict())
+        else:
+            optimizer = OPTIMIZERS[change](0.5)
+            for sentence in sentences[:6]:
+                loss, _ = sentence_training_pass(model.encoder, model.scorer, sentence,
+                                                 model.label_vocab, TrainSettings(), None, 0)
+                if loss is not None:
+                    backward(loss)
+                    optimizer.step(model.store)
+        fresh = clone(model)
+        after = [model.parse(f) for f in forms]
+        assert after == [fresh.parse(f) for f in forms]
+        assert after != before
+        assert model._memo.keys() == fresh._memo.keys()
+        for form, row in fresh._memo.items():
+            assert np.array_equal(model._memo[form], row), form
+
+    def test_memo_never_holds_more_than_its_bound(self, monkeypatch):
+        monkeypatch.setattr(encoder_module, "MEMO_FORMS", 4)
+        _, model = memo_model()
+        rng = np.random.default_rng(0)
+        for _ in range(30):
+            forms = [MEMO_POOL[i] for i in rng.integers(len(MEMO_POOL), size=rng.integers(1, 9))]
+            assert model.parse(forms) == clone(model).parse(forms)
+            assert len(model._memo) <= 4
+        model.parse(MEMO_POOL)  # more distinct forms than the bound in one sentence
+        assert len(model._memo) == 4
+
+    def test_training_pass_neither_reads_nor_fills_the_memo(self):
+        sentences, model = memo_model()
+        sentence = sentences[0]
+        _, clean = sentence_training_pass(model.encoder, model.scorer, sentence,
+                                          model.label_vocab, TrainSettings(), None, 0)
+        model.parse(sentence.forms)
+        for row in model._memo.values():
+            row[...] = 0.5  # a pass that read the memo would see these rows
+        memo = dict(model._memo)
+        loss, _ = sentence_training_pass(model.encoder, model.scorer, sentences[1],
+                                         model.label_vocab, TrainSettings(), None, 0)
+        _, again = sentence_training_pass(model.encoder, model.scorer, sentence,
+                                          model.label_vocab, TrainSettings(), None, 0)
+        assert again == clean
+        assert model._memo.keys() == memo.keys()
+        assert all(model._memo[form] is row for form, row in memo.items())
+        backward(loss)
+        assert np.any(model.store["char/fwd/W"].grad != 0.0)  # the graph reaches the char tier
 
 
 TOY_SETTINGS = TrainSettings(epochs=30, seed=42, learning_rate=0.01, hidden_dim=32)
@@ -799,6 +916,58 @@ class TestModelIO:
         assert model.parse(["w7", "b", "모르는말"])
         for name, param in model.store.parameters():
             assert param.grad is None, name
+
+    def test_failed_save_keeps_the_old_file_and_leaves_no_partial_one(self, overfit_result,
+                                                                        tmp_path, monkeypatch):
+        _, result = overfit_result
+        model = TrainedModel.from_training(result)
+        path = tmp_path / "model.bin"
+        save_model(model, path)
+        old = path.read_bytes()
+        params = list(model.store.parameters())
+        calls = []
+
+        def failing_parameters():  # the header reads the list whole, the body fails midway
+            calls.append(None)
+            for i, item in enumerate(params):
+                if len(calls) > 1 and i == 3:
+                    raise OSError("disk full")
+                yield item
+
+        monkeypatch.setattr(model.store, "parameters", failing_parameters)
+        with pytest.raises(OSError, match="disk full"):
+            save_model(model, path)
+        assert path.read_bytes() == old
+        assert [p.name for p in tmp_path.iterdir()] == ["model.bin"]
+        monkeypatch.undo()
+        load_model(path)
+
+    def test_save_through_a_symlink_replaces_its_target(self, overfit_result, tmp_path):
+        _, result = overfit_result
+        model = TrainedModel.from_training(result)
+        target, link = tmp_path / "target.bin", tmp_path / "link.bin"
+        target.write_bytes(b"old")
+        link.symlink_to(target)
+        save_model(model, link)
+        assert link.is_symlink()
+        assert load_model(target).store.names() == model.store.names()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["link.bin", "target.bin"]
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_save_to_a_pipe_writes_into_it(self, overfit_result, tmp_path):
+        _, result = overfit_result
+        model = TrainedModel.from_training(result)
+        path, pipe = tmp_path / "model.bin", tmp_path / "pipe"
+        save_model(model, path)
+        os.mkfifo(pipe)
+        received = []
+        reader = threading.Thread(target=lambda: received.append(pipe.read_bytes()), daemon=True)
+        reader.start()
+        save_model(model, pipe)
+        reader.join(timeout=30)  # a replaced pipe would leave the reader waiting
+        assert received == [path.read_bytes()]
+        assert stat.S_ISFIFO(pipe.stat().st_mode)  # written into, not replaced
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["model.bin", "pipe"]
 
     def test_truncated_file_is_corrupt(self, overfit_result, tmp_path):
         _, result = overfit_result
