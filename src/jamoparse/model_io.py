@@ -25,7 +25,7 @@ from .autograd import ShapeMismatchError
 from .encoder import UnitConfig
 from .nn import ParameterStore
 from .parser import TrainedModel
-from .vocab import _SPECIALS, Vocabulary
+from .vocab import Vocabulary
 
 FORMAT_VERSION = 1
 _MAGIC = "jamoparse-model"
@@ -111,8 +111,8 @@ def _check_header(header) -> None:
 
     The checksum only proves the file is as written; this keeps a header
     that was rewritten with a fresh digest from reaching the model code as
-    a TypeError or a plain ValueError. A vocabulary's one fault left, a
-    repeated token, is found when :func:`load_model` builds it.
+    a TypeError or a plain ValueError. A vocabulary's layout (distinct
+    tokens, specials first) is checked when :func:`load_model` builds it.
     """
     def require(ok: bool, field: str, expected: str) -> None:
         if not ok:
@@ -138,9 +138,6 @@ def _check_header(header) -> None:
         tokens, counts = payload.get("tokens"), payload.get("counts", {})
         require(isinstance(tokens, list) and all(isinstance(t, str) for t in tokens),
                 field + ".tokens", "a list of strings")
-        specials = list(_SPECIALS[kind])  # in Vocabulary.build's layout: specials first
-        require(tokens[:len(specials)] == specials, field + ".tokens",
-                "a list starting with %s" % specials)
         require(isinstance(counts, dict) and all(_is_int(c, 0) for c in counts.values()),
                 field + ".counts", "an object of non-negative ints")
     require(bool(vocabularies["label"]["tokens"]), "vocabularies.label.tokens", "non-empty")
@@ -234,9 +231,9 @@ def load_model(path) -> TrainedModel:
     for kind, payload in header["vocabularies"].items():
         try:
             vocabs[kind] = Vocabulary.from_dict(payload)
-        except ValueError:  # the vocabulary refuses a repeated token
+        except ValueError as error:  # the vocabulary refuses its token list's layout
             raise _bad_field("vocabularies.%s.tokens" % kind,
-                             "a list of distinct strings") from None
+                             "a vocabulary's tokens (%s)" % error) from None
     # binding the encoder and scorer re-checks every shape against the vocabularies,
     # and would create, with a fresh initialisation, any parameter the file lacks
     try:

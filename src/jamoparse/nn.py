@@ -74,11 +74,17 @@ class ParameterStore:
     def embedding(self, name: str, rows: int, dim: int) -> Parameter:
         """Lookup table, uniform ±0.01 rows.
 
-        A new table is row-tracked (see :class:`Parameter`): read it through
-        ``autograd.gather`` only. A table bound from a loaded store stays dense.
+        The table is row-tracked (see :class:`Parameter`), a new one or one
+        bound from a loaded store alike: read it through ``autograd.gather``
+        only. Binding a table the packed arena holds raises RuntimeError.
         """
         if name in self._params:
-            return self._existing(name, (rows, dim))
+            param = self._existing(name, (rows, dim))
+            if param.rows is None:
+                if self._arena is not None:
+                    raise RuntimeError("cannot bind table %r: the store's arena holds it" % name)
+                param.rows = set()
+            return param
         value = self.rng.uniform(-0.01, 0.01, size=(rows, dim)).astype(self.dtype, copy=False)
         return self._register(name, value, track_rows=True)
 
@@ -333,24 +339,17 @@ def _lstm_backward(cell: LSTMCell, x: np.ndarray, sizes: np.ndarray, previous: n
     return d_gates @ cell.weights.value[:, :cell.input_dim]
 
 
-def live_index(table: Parameter) -> np.ndarray:
-    """The sorted touched rows of a row-tracked table: where its gradient can be nonzero.
-
-    Zero, clip, SGD and Adam read and write a table's
-    ``grad[live_index(table)]`` and the same entries of its value and
-    moments, so an update costs the dense arena plus the rows the sentence
-    used.
-    """
-    return np.array(sorted(table.rows), dtype=np.intp)
-
-
 def touched_tables(store: ParameterStore) -> list[tuple[str, Parameter, np.ndarray]]:
-    """Name, table and :func:`live_index` of each row-tracked table holding gradient.
+    """Name, table and sorted touched rows of each row-tracked table holding gradient.
 
-    A table that no backward pass has reached since the last clear is left
-    out; its gradient may not exist yet.
+    The touched rows are where a table's gradient can be nonzero: zero,
+    clip, SGD and Adam read and write those entries of its gradient, value
+    and moments only, so an update costs the dense arena plus the rows the
+    sentence used. A table that no backward pass has reached since the
+    last clear is left out; its gradient may not exist yet.
     """
-    return [(name, table, live_index(table)) for name, table in store.tables() if table.rows]
+    return [(name, table, np.array(sorted(table.rows), dtype=np.intp))
+            for name, table in store.tables() if table.rows]
 
 
 class Sgd:
@@ -381,9 +380,9 @@ class Adam:
     laid out like the store's (see :meth:`ParameterStore.dense`), a
     table's in two arrays of its shape. Each arena segment is stepped in
     ``CHUNK``-element pieces that stay in cache across the arithmetic;
-    a table steps its :func:`live_index` rows only. Every entry sees the
-    same arithmetic as a full sweep masked with ``grad != 0``, so the
-    results are bit-identical to one.
+    a table steps its touched rows only (see :func:`touched_tables`).
+    Every entry sees the same arithmetic as a full sweep masked with
+    ``grad != 0``, so the results are bit-identical to one.
     """
 
     def __init__(self, learning_rate: float):

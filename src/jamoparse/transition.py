@@ -1,4 +1,4 @@
-"""Arc-hybrid transition system: configurations, legality, and oracle costs.
+"""Arc-hybrid transition system: configurations, legality, arcs, and oracle costs.
 
 Token indices are 1-based; index 0 is the artificial root, which starts at
 the bottom of the stack and is never shifted or attached. Every sentence of
@@ -50,55 +50,47 @@ class ParserConfiguration:
         if kind == SHIFT:
             self.stack.append(self.buffer.popleft())
             return
-        dependent = self.stack.pop()
-        if kind == LEFT_ARC:
-            head = self.buffer[0]
-        elif kind == RIGHT_ARC:
-            head = self.stack[-1]
-        else:
-            raise ValueError("unknown transition kind %d" % kind)
+        head, dependent = formed_arc(self, kind)
+        self.stack.pop()
         self.heads[dependent] = head
         self.labels[dependent] = label
+
+
+def formed_arc(config: ParserConfiguration, kind: int) -> tuple[int, int] | None:
+    """The (head, dependent) arc ``kind`` forms: None for shift, ValueError if unknown."""
+    if kind == LEFT_ARC:
+        return config.buffer[0], config.stack[-1]
+    if kind == RIGHT_ARC:
+        return config.stack[-2], config.stack[-1]
+    if kind == SHIFT:
+        return None
+    raise ValueError("unknown transition kind %d" % kind)
 
 
 def transition_costs(config: ParserConfiguration, gold_heads) -> dict[int, int]:
     """Dynamic-oracle cost of each legal kind: gold arcs made unreachable.
 
     ``gold_heads[i]`` is the gold head of token i (1-based; slot 0 unused).
-    A zero-cost transition keeps the best reachable tree reachable.
+    A zero-cost transition keeps the best reachable tree reachable. Shift
+    loses the front's gold head if it is on the stack below the top, and its
+    gold dependents on the stack. An arc popping d under h loses d's gold
+    head if that is not h and still reachable (``stack[-2]`` or in the
+    buffer), and d's gold dependents in the buffer.
     """
     costs: dict[int, int] = {}
     stack, buffer = config.stack, config.buffer
-    if buffer:
-        front = buffer[0]
-        cost = sum(1 for item in stack[:-1] if gold_heads[front] == item)
-        cost += sum(1 for item in stack if item != 0 and gold_heads[item] == front)
-        costs[SHIFT] = cost
-        if stack[-1] != 0:
-            top = stack[-1]
-            below = stack[-2]
-            cost = 1 if gold_heads[top] == below else 0
-            rest = list(buffer)[1:]
-            if gold_heads[top] in rest:
-                cost += 1
-            cost += sum(1 for item in buffer if gold_heads[item] == top)
-            costs[LEFT_ARC] = cost
-    if len(stack) >= 2:
-        top = stack[-1]
-        cost = sum(1 for item in buffer if gold_heads[item] == top)
-        if gold_heads[top] in buffer:
-            cost += 1
-        costs[RIGHT_ARC] = cost
+    for kind in config.legal_kinds():
+        if kind == SHIFT:
+            front = buffer[0]
+            cost = gold_heads[front] in stack[:-1]
+            cost += sum(1 for item in stack if item != 0 and gold_heads[item] == front)
+        else:
+            head, dependent = formed_arc(config, kind)
+            gold = gold_heads[dependent]
+            cost = gold != head and (gold == stack[-2] or gold in buffer)
+            cost += sum(1 for item in buffer if gold_heads[item] == dependent)
+        costs[kind] = cost
     return costs
-
-
-def formed_arc(config: ParserConfiguration, kind: int) -> tuple[int, int] | None:
-    """The (head, dependent) pair an arc transition would create."""
-    if kind == LEFT_ARC:
-        return config.buffer[0], config.stack[-1]
-    if kind == RIGHT_ARC:
-        return config.stack[-2], config.stack[-1]
-    return None
 
 
 def correct_label(config: ParserConfiguration, kind: int, gold_heads, gold_labels) -> int | None:
@@ -124,9 +116,9 @@ def static_oracle(config: ParserConfiguration, costs: dict[int, int], gold_heads
     """
     for kind in (LEFT_ARC, RIGHT_ARC):
         if costs.get(kind) == 0:
-            head, dependent = formed_arc(config, kind)
-            if gold_heads[dependent] == head:
-                return kind, gold_labels[dependent]
+            label = correct_label(config, kind, gold_heads, gold_labels)
+            if label is not None:
+                return kind, label
     if costs.get(SHIFT) == 0:
         return SHIFT, None
     raise RuntimeError("no zero-cost transition; gold heads are not a projective tree")

@@ -23,7 +23,9 @@ class Vocabulary:
     """Stable string-to-index map for one unit tier.
 
     Ids are contiguous from 0, specials first, then unit types in sorted
-    order, so two builds over the same corpus agree exactly.
+    order, so two builds over the same corpus agree exactly. A token list
+    that repeats a token or does not open with its kind's specials raises
+    ValueError.
     """
 
     def __init__(self, kind: str, tokens: Iterable[str], counts: dict[str, int] | None = None):
@@ -35,6 +37,9 @@ class Vocabulary:
         self._index = {token: i for i, token in enumerate(self.tokens)}
         if len(self._index) != len(self.tokens):
             raise ValueError("duplicate tokens in %s vocabulary" % kind)
+        specials = list(_SPECIALS[kind])
+        if self.tokens[:len(specials)] != specials:
+            raise ValueError("%s vocabulary does not start with %s" % (kind, specials))
 
     @classmethod
     def build(cls, kind: str, counts: Counter | dict[str, int]) -> "Vocabulary":

@@ -249,6 +249,13 @@ class TestVocabularies:
         stats = build_vocabularies(tb)[3]
         assert stats.jamo_types_korean <= 51
 
+    def test_token_list_must_open_with_its_kinds_specials(self):
+        with pytest.raises(ValueError):
+            Vocabulary("word", ["갔다", UNK])
+        with pytest.raises(ValueError):
+            Vocabulary("jamo", [UNK, "ㄱ"])
+        assert Vocabulary("label", ["root"]).tokens == ["root"]
+
     def test_label_vocabulary(self):
         tb = [sentence(("a", 2, "nsubj"), ("b", 0, "root"))]
         labels = build_label_vocabulary(tb)

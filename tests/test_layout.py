@@ -1,5 +1,6 @@
 """Structural checks on the package source."""
 import ast
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -88,3 +89,20 @@ def test_every_public_function_and_class_is_used_or_exported():
                     and references[node.name] == referenced_names(node)[node.name]):
                 unused.append("%s.%s" % (name[:-3], node.name))
     assert not unused, "defined, never used by the package, not in __all__: %s" % unused
+
+
+def test_package_imports_only_the_standard_library_and_numpy():
+    # numpy is the package's one dependency (pyproject.toml)
+    allowed = set(sys.stdlib_module_names) | {"numpy"}
+    foreign = {}
+    for path in sorted(PACKAGE.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text("utf-8"))):
+            if isinstance(node, ast.Import):
+                roots = {alias.name.split(".")[0] for alias in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                roots = {node.module.split(".")[0]}
+            else:
+                continue
+            if roots - allowed:
+                foreign.setdefault(path.name, set()).update(roots - allowed)
+    assert not foreign, "imports outside the standard library and numpy: %s" % foreign

@@ -279,10 +279,11 @@ def test_dense_parameter_added_after_packing_raises():
     store = make_store(np.float64)
     store.dense()
     for add in (lambda: store.matrix("late", 2, 2), lambda: store.vector("late", 2),
-                lambda: store.add_raw("late", np.ones(2))):
+                lambda: store.add_raw("late", np.ones(2)),
+                lambda: store.embedding("w", 6, 9)):  # a table, but the arena holds it
         with pytest.raises(RuntimeError):
             add()
-    assert "late" not in store
+    assert "late" not in store and store["w"].rows is None
     assert store.matrix("w", 6, 9) is store["w"]  # binding an existing one still works
     assert store.embedding("late/emb", 3, 2).rows == set()  # tables stay outside the arena
 
@@ -363,14 +364,15 @@ def test_negative_row_index_is_tracked_once():
     assert np.array_equal(table.grad[4], [2.0, 2.0])
 
 
-def test_only_new_embedding_tables_are_row_tracked():
+def test_only_embedding_tables_are_row_tracked():
     store = ParameterStore(seed=0)
     assert store.embedding("emb", 3, 2).rows == set()
     assert store.matrix("w", 3, 2).rows is None
     assert store.vector("b", 3).rows is None
     loaded = store.add_raw("loaded/emb", np.ones((3, 2)))
     assert loaded.rows is None
-    assert store.embedding("loaded/emb", 3, 2) is loaded  # bound, stays dense
+    assert store.embedding("loaded/emb", 3, 2) is loaded  # bound, and row-tracked from now on
+    assert loaded.rows == set()
 
 
 def test_backward_rows_cover_every_nonzero_embedding_row(toy_treebank_path):

@@ -80,6 +80,15 @@ class TestConfiguration:
                 kind = sorted(legal)[int(rng.integers(len(legal)))]
                 config.apply(kind, 0)
 
+    def test_unknown_kind_raises_and_leaves_the_configuration_unchanged(self):
+        config = T.ParserConfiguration(2)
+        config.apply(T.SHIFT)
+        with pytest.raises(ValueError):
+            config.apply(7, 0)
+        assert config.stack == [0, 1]
+        assert list(config.buffer) == [2]
+        assert config.heads == {} and config.labels == {}
+
     def test_every_parse_takes_exactly_2n_transitions(self):
         rng = np.random.default_rng(1)
         for n in (1, 2, 5, 9):
@@ -120,6 +129,13 @@ def enumerate_projective_trees(n):
 
 
 class TestOracle:
+    def test_arc_cost_rule_matches_the_per_transition_formulas(self):
+        # costs read the stack, the buffer and the gold heads only, so one configuration
+        # per (stack, buffer) reachable in each projective tree of 1-4 tokens covers them all
+        for config, costs, gold_heads, _ in oracle_cases():
+            assert list(costs.items()) == list(reference_costs(config, gold_heads).items())
+            assert all(type(cost) is int for cost in costs.values())
+
     def test_brute_force_soundness_up_to_length_4(self):
         """Every run of zero-cost transitions must rebuild the gold arcs exactly."""
         trees = 0
@@ -285,6 +301,31 @@ def reference_transition_index(n_labels, kind, label):
     if kind == T.LEFT_ARC:
         return 1 + label
     return 1 + n_labels + label
+
+
+def reference_costs(config, gold_heads):
+    """Per-transition cost formulas, one block per kind: the reference for the arc-cost rule."""
+    costs = {}
+    stack, buffer = config.stack, config.buffer
+    if buffer:
+        front = buffer[0]
+        cost = sum(1 for item in stack[:-1] if gold_heads[front] == item)
+        cost += sum(1 for item in stack if item != 0 and gold_heads[item] == front)
+        costs[T.SHIFT] = cost
+        if stack[-1] != 0:
+            top = stack[-1]
+            cost = 1 if gold_heads[top] == stack[-2] else 0
+            if gold_heads[top] in list(buffer)[1:]:
+                cost += 1
+            cost += sum(1 for item in buffer if gold_heads[item] == top)
+            costs[T.LEFT_ARC] = cost
+    if len(stack) >= 2:
+        top = stack[-1]
+        cost = sum(1 for item in buffer if gold_heads[item] == top)
+        if gold_heads[top] in buffer:
+            cost += 1
+        costs[T.RIGHT_ARC] = cost
+    return costs
 
 
 def reference_legal_moves(n_labels, config):
@@ -916,6 +957,15 @@ class TestModelIO:
         assert model.parse(["w7", "b", "모르는말"])
         for name, param in model.store.parameters():
             assert param.grad is None, name
+
+    def test_loaded_tables_are_row_tracked_outside_the_arena(self, overfit_result, tmp_path):
+        _, result = overfit_result
+        path = tmp_path / "model.bin"
+        save_model(TrainedModel.from_training(result), path)
+        store = load_model(path).store
+        assert [name for name, _ in store.tables()] == ["jamo/emb", "char/emb", "word/emb"]
+        _, _, segments = store.dense()
+        assert not [name for name, _ in segments if name.endswith("/emb")]
 
     def test_failed_save_keeps_the_old_file_and_leaves_no_partial_one(self, overfit_result,
                                                                         tmp_path, monkeypatch):
