@@ -65,11 +65,8 @@ class Parameter(Node):
 def _accumulate(node: Node, delta) -> None:
     if node.grad is not None:
         node.grad += delta
-    elif np.shape(delta) == node.value.shape:
+    else:
         node.grad = np.array(delta, dtype=node.value.dtype)  # a copy: one delta may feed two nodes
-    else:  # a broadcast delta
-        node.grad = np.zeros_like(node.value)
-        node.grad += delta
 
 
 def concat(parts: Sequence[Node]) -> Node:
@@ -143,10 +140,7 @@ def backward(root: Node) -> None:
     separate losses backpropagated one after the other equal one summed pass.
     """
     order = _topological_order(root)
-    if root.grad is None:
-        root.grad = np.ones_like(root.value)
-    else:
-        root.grad = root.grad + np.ones_like(root.value)
+    root.grad = np.ones_like(root.value)
     for node in reversed(order):
         if node.backward_fn is not None and node.grad is not None:
             node.backward_fn(node.grad)

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import secrets
 
@@ -159,22 +160,14 @@ def _check_header(header) -> None:
         dtypes = (entry["dtype"],)
 
 
-def _digest(handle, size: int) -> bytes:
-    """SHA-256 of the next ``size`` bytes of ``handle``, read through one reused buffer."""
-    digest = hashlib.sha256()
-    chunk = memoryview(bytearray(1 << 20))
-    while size and (got := handle.readinto(chunk[:min(size, len(chunk))])):
-        digest.update(chunk[:got])
-        size -= got
-    return digest.digest()
-
-
 def load_model(path) -> TrainedModel:
     """The model in the file at ``path``; CorruptModelError or ModelVersionError if unreadable.
 
-    The digest is verified before the header is parsed. Each parameter is
-    then read from the file straight into its own array, so a load holds
-    one copy of the model, never the whole file besides it.
+    One pass reads the file as :func:`_write` wrote it, hashing each part as
+    it is read; each parameter goes from the file straight into its own
+    array, so a load holds one copy of the model, never the whole file
+    besides it. The digest is compared before the config, the vocabularies
+    or the model are built.
     """
     with open(path, "rb") as handle:
         size = os.fstat(handle.fileno()).st_size - _DIGEST_BYTES  # bytes under the digest
@@ -193,11 +186,8 @@ def load_model(path) -> TrainedModel:
         if version != FORMAT_VERSION:
             raise ModelVersionError(
                 "model format version %d, this build reads %d" % (version, FORMAT_VERSION))
-        handle.seek(0)
-        if _digest(handle, size) != handle.read():
-            raise CorruptModelError("checksum mismatch (truncated or corrupted file)")
+        digest = hashlib.sha256(line)
 
-        handle.seek(len(line))
         line = handle.readline()
         if not line.endswith(b"\n"):
             raise CorruptModelError("missing header length")
@@ -205,23 +195,30 @@ def load_model(path) -> TrainedModel:
             header_len = int(line)
         except ValueError:
             raise CorruptModelError("unreadable header length") from None
+        raw = handle.read(max(header_len, 0))
+        digest.update(line)
+        digest.update(raw)
         try:
-            header = json.loads(handle.read(max(header_len, 0)).decode("utf-8"))
-        except (ValueError, UnicodeDecodeError):
+            header = json.loads(raw.decode("utf-8"))
+        except (ValueError, UnicodeDecodeError, RecursionError):
             raise CorruptModelError("unreadable header") from None
         _check_header(header)
 
         store = ParameterStore(seed=header["seed"], dtype=header["parameters"][0]["dtype"])
         for entry in header["parameters"]:
             shape = tuple(entry["shape"])
-            nbytes = int(np.prod(shape, dtype=np.int64)) * store.dtype.itemsize
+            nbytes = math.prod(shape) * store.dtype.itemsize  # a Python int cannot wrap
             if handle.tell() + nbytes > size:
                 raise CorruptModelError("parameter %r is truncated" % entry["name"])
             value = np.empty(shape, dtype=store.dtype)  # the one dtype _check_header allows
-            handle.readinto(value.reshape(-1).view(np.uint8))
+            raw = value.reshape(-1).view(np.uint8)
+            handle.readinto(raw)
+            digest.update(raw)
             store.add_raw(entry["name"], value)
         if handle.tell() != size:
             raise CorruptModelError("trailing bytes after parameters")
+        if digest.digest() != handle.read():
+            raise CorruptModelError("checksum mismatch (truncated or corrupted file)")
 
     try:
         config = UnitConfig.from_dict(header["config"])

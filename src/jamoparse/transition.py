@@ -47,6 +47,9 @@ class ParserConfiguration:
         return kinds
 
     def apply(self, kind: int, label: int | None = None) -> None:
+        """Apply ``kind``; ValueError, before anything changes, unless it is legal here."""
+        if kind not in self.legal_kinds():
+            raise ValueError("transition kind %r is not legal here" % (kind,))
         if kind == SHIFT:
             self.stack.append(self.buffer.popleft())
             return

@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from jamoparse import model_io
 from jamoparse.cli import decompose_lines, main
 from jamoparse.data import read_conllu
 from jamoparse.model_io import CorruptModelError, load_model
@@ -576,6 +577,110 @@ class TestModelHeaderTypes:
         text.write_text(GOOD, encoding="utf-8")
         assert main(["parse", "--model", str(model), "--input", str(text),
                      "--output", str(tmp_path / "out.conllu")]) == 0
+
+
+    def test_header_nested_past_the_recursion_limit_is_unreadable(self, tmp_path, tiny_model):
+        model = tmp_path / "deep.model"
+        magic, _, arrays = split_model(tiny_model)
+        header = b"[" * 200_000 + b"]" * 200_000
+        body = magic + b"%d\n" % len(header) + header + arrays
+        model.write_bytes(body + hashlib.sha256(body).digest())
+        with pytest.raises(CorruptModelError, match="unreadable header"):
+            load_model(model)
+        text = tmp_path / "in.conllu"
+        text.write_text(GOOD, encoding="utf-8")
+        proc = run_cli_process("parse", "--model", str(model), "--input", str(text),
+                               "--output", str(tmp_path / "out.conllu"))
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert "unreadable header" in proc.stderr
+
+    def test_shape_whose_element_count_overflows_int64_is_truncated(self, tmp_path,
+                                                                     tiny_model):
+        model = tmp_path / "huge.model"
+        model.write_bytes(tiny_model.read_bytes())
+        rewrite_header(model, set_field("parameters", 0, "shape", [2 ** 32, 2 ** 32]))
+        with pytest.raises(CorruptModelError, match="parameter 'jamo/emb' is truncated"):
+            load_model(model)
+        text = tmp_path / "in.conllu"
+        text.write_text(GOOD, encoding="utf-8")
+        proc = run_cli_process("parse", "--model", str(model), "--input", str(text),
+                               "--output", str(tmp_path / "out.conllu"))
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert "parameter 'jamo/emb' is truncated" in proc.stderr
+
+
+def replace_line(index, line):
+    """Damage that puts ``line`` in place of the model file's line ``index`` (0 or 1)."""
+    def damage(blob):
+        lines = blob.split(b"\n", 2)
+        lines[index] = line
+        return b"\n".join(lines)
+    return damage
+
+
+def with_fresh_digest(damage):
+    """``damage`` applied to the bytes under the digest, then a digest that matches them."""
+    def damage_body(blob):
+        body = damage(blob[:-32])
+        return body + hashlib.sha256(body).digest()
+    return damage_body
+
+
+class TestModelFileStructure:
+    @pytest.mark.parametrize("damage,message", [
+        (lambda blob: blob[:32], "too short"),
+        (lambda blob: blob[:blob.index(b"\n")] + bytes(32), "missing magic line"),
+        (replace_line(0, b"jamoparse-modem 1"), "not a parser model file"),
+        (replace_line(0, b"jamoparse-model one"), "unreadable format version"),
+        # the fresh digest of these 20 bytes holds no newline for the length line to end at
+        (with_fresh_digest(lambda body: body[:body.index(b"\n") + 1] + b"12"),
+         "missing header length"),
+        (with_fresh_digest(replace_line(1, b"twelve")), "unreadable header length"),
+        (with_fresh_digest(lambda body: body.replace(b'{"config"', b'["config"', 1)),
+         "unreadable header"),
+        (lambda blob: blob[:-33], "parameter 'scorer/b2' is truncated"),
+        (lambda blob: blob[:-32] + b"\0" + blob[-32:], "trailing bytes"),
+        (lambda blob: blob[:-33] + bytes([blob[-33] ^ 0xFF]) + blob[-32:],
+         "checksum mismatch"),
+    ], ids=["too-short", "no-magic-line", "magic", "version", "no-header-length",
+            "header-length", "header", "truncated", "trailing-bytes", "checksum"])
+    def test_each_structural_check_names_its_fault(self, tmp_path, tiny_model, damage,
+                                                   message):
+        model = tmp_path / "damaged.model"
+        model.write_bytes(damage(tiny_model.read_bytes()))
+        with pytest.raises(CorruptModelError, match=message):
+            load_model(model)
+
+    def test_load_reads_each_byte_of_the_file_once(self, tiny_model, monkeypatch):
+        counts = []
+
+        class CountingReader:
+            def __init__(self, handle):
+                self.handle = handle
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                self.handle.close()
+
+            def __getattr__(self, name):
+                method = getattr(self.handle, name)
+                if name not in ("read", "readline", "readinto"):
+                    return method
+
+                def counted(*args):
+                    got = method(*args)
+                    counts.append(got if isinstance(got, int) else len(got))
+                    return got
+                return counted
+
+        monkeypatch.setattr(model_io, "open", lambda *args: CountingReader(open(*args)),
+                            raising=False)
+        load_model(tiny_model)
+        assert sum(counts) == tiny_model.stat().st_size
 
 
 def test_parse_writes_empty_form_sentence_unparsed(tmp_path, tiny_model):

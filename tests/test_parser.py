@@ -89,6 +89,14 @@ class TestConfiguration:
         assert list(config.buffer) == [2]
         assert config.heads == {} and config.labels == {}
 
+    def test_illegal_kind_raises_and_leaves_the_configuration_unchanged(self):
+        config = T.ParserConfiguration(2)
+        with pytest.raises(ValueError, match="not legal"):
+            config.apply(T.LEFT_ARC, 0)  # would pop the root
+        assert config.stack == [0]
+        assert list(config.buffer) == [1, 2]
+        assert config.heads == {} and config.labels == {}
+
     def test_every_parse_takes_exactly_2n_transitions(self):
         rng = np.random.default_rng(1)
         for n in (1, 2, 5, 9):
