@@ -76,8 +76,8 @@ MEMO_FORMS = 8192
 class SentenceEncoder:
     """Builds per-word context vectors over a ParameterStore.
 
-    Construction allocates (or, on a loaded store, binds) exactly the
-    parameters the configuration calls for.
+    Construction creates exactly the parameters the configuration calls
+    for, drawn or, on a store given saved arrays, taken from them.
     """
 
     def __init__(self, store: ParameterStore, config: UnitConfig,

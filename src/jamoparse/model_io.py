@@ -9,8 +9,8 @@ Layout (all byte offsets after the two header lines):
     raw little-endian parameter arrays, concatenated in manifest order
     trailing 32-byte SHA-256 digest of everything before it
 
-Serialisation is deterministic, so load followed by save reproduces the
-file byte for byte.
+Serialisation is deterministic, so load followed by save reproduces a
+file :func:`save_model` wrote byte for byte.
 """
 from __future__ import annotations
 
@@ -154,8 +154,8 @@ def _check_header(header) -> None:
                 "a string no earlier entry names")
         names.add(name)
         shape = entry.get("shape")
-        require(isinstance(shape, list) and all(_is_int(d, 0) for d in shape),
-                field + ".shape", "a list of non-negative ints")
+        require(isinstance(shape, list) and all(_is_int(d, 1) for d in shape),
+                field + ".shape", "a list of positive ints")
         require(entry.get("dtype") in dtypes, field + ".dtype", " or ".join(dtypes))
         dtypes = (entry["dtype"],)
 
@@ -204,17 +204,17 @@ def load_model(path) -> TrainedModel:
             raise CorruptModelError("unreadable header") from None
         _check_header(header)
 
-        store = ParameterStore(seed=header["seed"], dtype=header["parameters"][0]["dtype"])
+        dtype = np.dtype(header["parameters"][0]["dtype"])  # the one _check_header allows
+        arrays = {}
         for entry in header["parameters"]:
             shape = tuple(entry["shape"])
-            nbytes = math.prod(shape) * store.dtype.itemsize  # a Python int cannot wrap
+            nbytes = math.prod(shape) * dtype.itemsize  # a Python int cannot wrap
             if handle.tell() + nbytes > size:
                 raise CorruptModelError("parameter %r is truncated" % entry["name"])
-            value = np.empty(shape, dtype=store.dtype)  # the one dtype _check_header allows
+            value = arrays[entry["name"]] = np.empty(shape, dtype=dtype)
             raw = value.reshape(-1).view(np.uint8)
             handle.readinto(raw)
             digest.update(raw)
-            store.add_raw(entry["name"], value)
         if handle.tell() != size:
             raise CorruptModelError("trailing bytes after parameters")
         if digest.digest() != handle.read():
@@ -231,15 +231,18 @@ def load_model(path) -> TrainedModel:
         except ValueError as error:  # the vocabulary refuses its token list's layout
             raise _bad_field("vocabularies.%s.tokens" % kind,
                              "a vocabulary's tokens (%s)" % error) from None
-    # binding the encoder and scorer re-checks every shape against the vocabularies,
-    # and would create, with a fresh initialisation, any parameter the file lacks
+    # the model creates each parameter from its saved array, shape checked, drawing nothing
+    store = ParameterStore(seed=header["seed"], dtype=dtype, saved=arrays)
     try:
         model = TrainedModel(config, vocabs["jamo"], vocabs["char"], vocabs["word"],
                              vocabs["label"], store, header["hidden_dim"])
     except ShapeMismatchError as error:
         raise CorruptModelError("header config, hidden_dim or vocabularies do not fit the "
                                 "stored arrays: %s" % error) from None
-    created = store.names()[len(header["parameters"]):]
-    if created:
-        raise CorruptModelError("model file lacks parameter(s) %s" % ", ".join(created))
+    except KeyError as error:  # the store holds only what the file saved
+        raise CorruptModelError("model file lacks parameter(s) %s" % error.args[0]) from None
+    unused = [name for name in arrays if name not in store]
+    if unused:
+        raise CorruptModelError("model file holds parameter(s) the model has no use for: %s"
+                                % ", ".join(unused))
     return model

@@ -26,76 +26,63 @@ def _aligned_zeros(size: int, dtype) -> np.ndarray:
 class ParameterStore:
     """All trainable tensors, addressed by stable name.
 
-    Creation order is the iteration order. Asking for an existing name
-    returns the stored parameter (after a shape check), which lets model
-    code bind against a store loaded from disk. ``version`` advances on
-    every write to the values through :meth:`load_state_dict` or an
-    optimizer step, so a cache of values computed from the parameters
-    knows when it is stale; a direct write to ``param.value`` leaves it as
-    it is.
+    Creation order is the iteration order; each name is created once (again
+    raises ValueError). A fresh store draws initial values from ``rng``; one
+    given ``saved`` arrays (name -> array, as a model file holds them) takes
+    each parameter's array from them after a shape and dtype check, draws
+    nothing, and raises KeyError for a name they lack. ``version`` advances
+    on every write to the values through :meth:`load_state_dict` or an
+    optimizer step, so a cache of values computed from the parameters knows
+    when it is stale; a direct write to ``param.value`` leaves it as it is.
     """
 
-    def __init__(self, seed: int = 42, dtype=np.float64):
+    def __init__(self, seed: int = 42, dtype=np.float64,
+                 saved: dict[str, np.ndarray] | None = None):
         self.seed = seed
         self.dtype = np.dtype(dtype)
         self.rng = np.random.default_rng(seed)
         self._params: dict[str, Parameter] = {}
+        self._saved = None if saved is None else dict(saved)  # each array is taken once
         self._arena = None  # (values, grads, segments) once packed; see dense()
         self.version = 0
 
-    def _existing(self, name: str, shape: tuple[int, ...]) -> Parameter:
-        param = self._params[name]
-        if param.value.shape != shape:
-            raise ShapeMismatchError(
-                "parameter %r has shape %s, expected %s" % (name, param.value.shape, shape))
-        return param
-
-    def _register(self, name: str, value: np.ndarray, track_rows: bool = False) -> Parameter:
+    def _create(self, name: str, shape: tuple[int, ...], limit: float,
+                track_rows: bool = False) -> Parameter:
+        """The one way to make a parameter: its saved array, else uniform ±``limit`` (0: zeros)."""
+        if name in self._params:
+            raise ValueError("parameter %r already exists" % name)
         if self._arena is not None and not track_rows:
             raise RuntimeError("cannot add dense parameter %r: the store's arena is packed" % name)
+        if self._saved is not None:
+            value = self._saved.pop(name)
+            _check_shape(name, value.shape, shape)
+            if value.dtype != self.dtype:
+                raise ValueError("parameter %r is %s, the store holds %s"
+                                 % (name, value.dtype, self.dtype))
+        elif limit:
+            value = self.rng.uniform(-limit, limit, size=shape).astype(self.dtype, copy=False)
+        else:
+            value = np.zeros(shape, dtype=self.dtype)
         param = Parameter(name, value, track_rows)
         self._params[name] = param
         return param
 
     def matrix(self, name: str, rows: int, cols: int) -> Parameter:
         """Dense weight matrix, uniform Glorot range ±sqrt(6/(rows+cols))."""
-        if name in self._params:
-            return self._existing(name, (rows, cols))
-        limit = math.sqrt(6.0 / (rows + cols))
-        value = self.rng.uniform(-limit, limit, size=(rows, cols)).astype(self.dtype, copy=False)
-        return self._register(name, value)
+        # int / int is 0.0, not OverflowError, for a size no float holds (a model file's)
+        return self._create(name, (rows, cols), math.sqrt(6 / (rows + cols)))
 
     def vector(self, name: str, dim: int) -> Parameter:
         """Bias-style vector, zero-initialised."""
-        if name in self._params:
-            return self._existing(name, (dim,))
-        return self._register(name, np.zeros(dim, dtype=self.dtype))
+        return self._create(name, (dim,), 0.0)
 
     def embedding(self, name: str, rows: int, dim: int) -> Parameter:
         """Lookup table, uniform ±0.01 rows.
 
-        The table is row-tracked (see :class:`Parameter`), a new one or one
-        bound from a loaded store alike: read it through ``autograd.gather``
-        only. Binding a table the packed arena holds raises RuntimeError.
+        The table is row-tracked (see :class:`Parameter`), a drawn one or a
+        saved one alike: read it through ``autograd.gather`` only.
         """
-        if name in self._params:
-            param = self._existing(name, (rows, dim))
-            if param.rows is None:
-                if self._arena is not None:
-                    raise RuntimeError("cannot bind table %r: the store's arena holds it" % name)
-                param.rows = set()
-            return param
-        value = self.rng.uniform(-0.01, 0.01, size=(rows, dim)).astype(self.dtype, copy=False)
-        return self._register(name, value, track_rows=True)
-
-    def add_raw(self, name: str, value: np.ndarray) -> Parameter:
-        """Insert a pre-built array of the store's dtype as it is (deserialisation path)."""
-        if name in self._params:
-            raise ValueError("duplicate parameter %r" % name)
-        if value.dtype != self.dtype:
-            raise ValueError("parameter %r is %s, the store holds %s"
-                             % (name, value.dtype, self.dtype))
-        return self._register(name, value)
+        return self._create(name, (rows, dim), 0.01, track_rows=True)
 
     def __contains__(self, name: str) -> bool:
         return name in self._params
@@ -159,10 +146,17 @@ class ParameterStore:
         return {name: p.value.copy() for name, p in self._params.items()}
 
     def load_state_dict(self, state: dict[str, np.ndarray]) -> None:
+        """Write each array into its parameter; a name or shape refused first writes nothing."""
         for name, value in state.items():
-            param = self._existing(name, value.shape)
-            param.value[...] = value
+            _check_shape(name, value.shape, self._params[name].value.shape)
+        for name, value in state.items():
+            self._params[name].value[...] = value
         self.version += 1
+
+
+def _check_shape(name: str, shape: tuple[int, ...], expected: tuple[int, ...]) -> None:
+    if shape != expected:
+        raise ShapeMismatchError("parameter %r has shape %s, expected %s" % (name, shape, expected))
 
 
 class LSTMCell:

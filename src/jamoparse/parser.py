@@ -272,11 +272,12 @@ def sentence_training_pass(encoder, scorer, sentence: ConlluSentence,
 class TrainedModel:
     """One parser: unit config, vocabularies, parameters and scorer hidden size.
 
-    Construction binds :attr:`encoder` and :attr:`scorer` to ``store``: on a
-    fresh store this creates their parameters, encoder first; on a loaded
-    one it re-checks every shape against the vocabularies. Parsing
-    memoises each form's composed word vector; the memo is dropped when
-    ``store.version`` moves, and holds at most ``encoder.MEMO_FORMS`` forms.
+    Construction builds :attr:`encoder` and :attr:`scorer`, which create
+    their parameters in ``store``, encoder first: drawn on a fresh store,
+    taken from the saved arrays, each shape checked, on a loaded one.
+    Parsing memoises each form's composed word vector; the memo is dropped
+    when ``store.version`` moves, and holds at most ``encoder.MEMO_FORMS``
+    forms.
     """
 
     config: UnitConfig

@@ -259,10 +259,26 @@ class TestParameterStore:
     def test_names_unique_and_ordered(self):
         store = ParameterStore(seed=1)
         store.vector("b", 2)
-        store.vector("a", 2)
+        a = store.vector("a", 2)
         assert store.names() == ["b", "a"]
-        with pytest.raises(ShapeMismatchError):
-            store.vector("a", 3)  # same name, different shape
+        for again in (lambda: store.vector("a", 2), lambda: store.matrix("a", 2, 3),
+                      lambda: store.embedding("a", 2, 3)):
+            with pytest.raises(ValueError, match="'a' already exists"):
+                again()  # a name is created once, whatever its shape or kind
+        assert store.names() == ["b", "a"] and store["a"] is a
+
+    def test_saved_arrays_are_taken_without_a_draw(self):
+        saved = {"m": np.full((2, 3), 0.5), "e": np.ones((4, 2))}
+        store = ParameterStore(seed=3, saved=saved)
+        state = store.rng.bit_generator.state
+        assert store.matrix("m", 2, 3).value is saved["m"]
+        assert store.embedding("e", 4, 2).value is saved["e"]
+        with pytest.raises(KeyError):
+            store.matrix("missing", 2 ** 40, 2 ** 40)  # nothing is allocated either
+        with pytest.raises(KeyError):
+            store.vector("missing", 3)
+        assert store.rng.bit_generator.state == state
+        assert store.names() == ["m", "e"]
 
     def test_same_seed_same_init(self):
         values = []

@@ -1,7 +1,7 @@
 # -*- coding: utf-8 -*-
 import hashlib
-import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -13,6 +13,8 @@ from jamoparse import model_io
 from jamoparse.cli import decompose_lines, main
 from jamoparse.data import read_conllu
 from jamoparse.model_io import CorruptModelError, load_model
+
+from model_files import rewrite_header, rewrite_model, split_model
 
 
 def run_cli(capsys, *argv):
@@ -396,47 +398,6 @@ class TestMalformedTrainingTrees:
         assert err.count("sentence 2: 2 tokens attached to root") == 1, err
 
 
-def split_model(path):
-    """A model file's magic line, JSON header and parameter bytes; the digest is dropped."""
-    blob = path.read_bytes()
-    magic_end = blob.index(b"\n") + 1
-    length_end = blob.index(b"\n", magic_end) + 1
-    header_end = length_end + int(blob[magic_end:length_end])
-    return blob[:magic_end], json.loads(blob[length_end:header_end]), blob[header_end:-32]
-
-
-def join_model(path, magic, header, arrays):
-    """Write a model file from its parts, with a matching digest."""
-    new_header = json.dumps(header).encode("utf-8")
-    body = magic + b"%d\n" % len(new_header) + new_header + arrays
-    path.write_bytes(body + hashlib.sha256(body).digest())
-
-
-def rewrite_header(path, edit):
-    """Apply ``edit`` to a model file's JSON header and write a matching digest."""
-    magic, header, arrays = split_model(path)
-    edit(header)
-    join_model(path, magic, header, arrays)
-
-
-def rewrite_model(path, edit):
-    """Apply ``edit(header, arrays)`` to a model file; write its arrays, manifest and digest.
-
-    ``edit`` returns the new arrays in manifest order; each entry's shape and
-    dtype are set from its array, so the file stays self-consistent.
-    """
-    magic, header, raw = split_model(path)
-    arrays, cursor = [], 0
-    for entry in header["parameters"]:
-        array = np.frombuffer(raw, entry["dtype"], int(np.prod(entry["shape"])), cursor)
-        arrays.append(array.reshape(entry["shape"]))
-        cursor += array.nbytes
-    arrays = edit(header, arrays)
-    for entry, array in zip(header["parameters"], arrays):
-        entry["shape"], entry["dtype"] = list(array.shape), str(array.dtype)
-    join_model(path, magic, header, b"".join(array.tobytes() for array in arrays))
-
-
 def without_labels(header, arrays):
     """No label, and a scorer with shift as its one output."""
     header["vocabularies"]["label"].update(tokens=[], counts={})
@@ -486,6 +447,8 @@ class TestModelHeaderTypes:
          "vocabularies.label.counts"),
         (set_field("parameters", 0, "name", 5), "parameters[0].name"),
         (set_field("parameters", 0, "shape", [-1]), "parameters[0].shape"),
+        # 0 bytes pass the truncation check, but numpy cannot make this array
+        (set_field("parameters", 0, "shape", [0, 2 ** 70]), "parameters[0].shape"),
         (set_field("parameters", 1, "shape", "4"), "parameters[1].shape"),
         (set_field("parameters", 0, "dtype", "int8"), "parameters[0].dtype"),
         (set_field("parameters", 1, "dtype", "float32"), "parameters[1].dtype"),
@@ -505,6 +468,8 @@ class TestModelHeaderTypes:
         model = tmp_path / "edited.model"
         model.write_bytes(tiny_model.read_bytes())
         rewrite_header(model, edit)
+        with pytest.raises(CorruptModelError, match=re.escape("header field %r" % field)):
+            load_model(model)
         text = tmp_path / "in.conllu"
         text.write_text(GOOD, encoding="utf-8")
         proc = run_cli_process("parse", "--model", str(model), "--input", str(text),
@@ -556,18 +521,59 @@ class TestModelHeaderTypes:
         assert named in err
         assert not (tmp_path / "out.conllu").exists()
 
-    def test_renamed_parameter_is_not_replaced_by_a_fresh_one(self, tmp_path, tiny_model):
+    @pytest.mark.parametrize("name,hidden_dim", [("scorer/b2", None), ("scorer/W1", 2 ** 40)],
+                             ids=["last", "before-a-256-TiB-draw"])
+    def test_renamed_parameter_is_not_replaced_by_a_fresh_one(self, tmp_path, tiny_model,
+                                                              name, hidden_dim):
+        def edit(header):
+            [entry] = [e for e in header["parameters"] if e["name"] == name]
+            entry["name"] = "renamed"
+            header["hidden_dim"] = hidden_dim or header["hidden_dim"]
+
         model = tmp_path / "renamed.model"
         model.write_bytes(tiny_model.read_bytes())
-        rewrite_header(model, set_field("parameters", -1, "name", "renamed"))
+        rewrite_header(model, edit)
+        with pytest.raises(CorruptModelError, match="lacks parameter\\(s\\) %s$" % name):
+            load_model(model)
         text = tmp_path / "in.conllu"
         text.write_text(GOOD, encoding="utf-8")
         proc = run_cli_process("parse", "--model", str(model), "--input", str(text),
                                "--output", str(tmp_path / "out.conllu"))
         assert proc.returncode == 1
         assert "Traceback" not in proc.stderr
-        assert "lacks parameter(s) scorer/b2" in proc.stderr
+        assert "lacks parameter(s) %s" % name in proc.stderr
         assert not (tmp_path / "out.conllu").exists()
+
+    def test_parameter_the_model_does_not_create_is_corrupt(self, tmp_path, tiny_model):
+        def extra(header, arrays):
+            header["parameters"].append({"name": "stray"})
+            return arrays + [np.ones(3, dtype=arrays[0].dtype)]
+
+        model = tmp_path / "stray.model"
+        model.write_bytes(tiny_model.read_bytes())
+        rewrite_model(model, extra)
+        with pytest.raises(CorruptModelError, match="no use for: stray$"):
+            load_model(model)
+        text = tmp_path / "in.conllu"
+        text.write_text(GOOD, encoding="utf-8")
+        proc = run_cli_process("parse", "--model", str(model), "--input", str(text),
+                               "--output", str(tmp_path / "out.conllu"))
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert "no use for: stray" in proc.stderr
+
+    def test_manifest_in_another_order_loads_in_creation_order(self, tmp_path, tiny_model):
+        def reverse(header, arrays):
+            header["parameters"].reverse()
+            return arrays[::-1]
+
+        model = tmp_path / "reversed.model"
+        model.write_bytes(tiny_model.read_bytes())
+        rewrite_model(model, reverse)
+        loaded, original = load_model(model), load_model(tiny_model)
+        assert loaded.store.names() == original.store.names()
+        for name, param in original.store.parameters():
+            assert np.array_equal(loaded.store[name].value, param.value), name
 
     def test_untouched_header_round_trip_still_parses(self, tmp_path, tiny_model):
         model = tmp_path / "same.model"

@@ -4,7 +4,9 @@
 Whatever the input, every subcommand must end with exit code 0, 1 or 2
 (argparse's ``SystemExit`` included); any other exception fails the test.
 Dimensions are tiny and training runs one epoch, so an example takes a
-fraction of a second.
+fraction of a second. A model file is mutated either as bytes, which
+breaks its digest, or through its header with the arrays and the digest
+rewritten to agree, which reaches every check after the digest.
 """
 import io
 import os
@@ -17,6 +19,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from conftest import TOY_TREEBANK
 from jamoparse.cli import main
+from jamoparse.model_io import CorruptModelError, load_model
+from model_files import rewrite_header, rewrite_model
 
 TOY_LINES = Path(TOY_TREEBANK).read_text(encoding="utf-8").splitlines()
 TINY = ["--dim-jamo", "2", "--dim-char", "2", "--dim-word", "2", "--dim-encoder", "2",
@@ -116,6 +120,49 @@ def mutate_model(blob: bytes, data) -> bytes:
     return name + b" " + version + b"\n" + rest
 
 
+#: Sizes a rewritten header may claim: none, tiny, and past int32, int64 and a float.
+HEADER_SIZES = st.sampled_from([0, 1, 2, 2 ** 31, 2 ** 63 - 1, 2 ** 70, 10 ** 400])
+
+
+def mutate_header(path, data) -> None:
+    """Rename, drop or duplicate manifest entries, then set sizes the header claims.
+
+    Up to two manifest edits, then up to two size edits: the manifest edits
+    split the arrays by the shapes the header gives, so those come first.
+    """
+    def edit_manifest(header, arrays):
+        entries = header["parameters"]
+        for _ in range(data.draw(st.integers(0, 2))):
+            kind = data.draw(st.sampled_from(["rename", "drop", "duplicate"]))
+            i = data.draw(st.integers(0, len(entries) - 1))
+            if kind == "drop":
+                del entries[i], arrays[i]
+                continue
+            name = data.draw(st.sampled_from([entry["name"] for entry in entries] + ["extra"]))
+            if kind == "rename":
+                entries[i]["name"] = name
+            else:
+                j = data.draw(st.integers(0, len(entries)))
+                entries.insert(j, dict(entries[i], name=name))
+                arrays.insert(j, arrays[i])
+        return arrays
+
+    def edit_sizes(header):
+        for _ in range(data.draw(st.integers(0, 2))):
+            kind = data.draw(st.sampled_from(["shape", "hidden_dim", "config"]))
+            size = data.draw(HEADER_SIZES)
+            if kind == "hidden_dim":
+                header["hidden_dim"] = size
+            elif kind == "config":
+                header["config"][data.draw(st.sampled_from(sorted(header["config"])))] = size
+            else:
+                shape = data.draw(st.sampled_from(header["parameters"]))["shape"]
+                shape[data.draw(st.integers(0, len(shape) - 1))] = size
+
+    rewrite_model(path, edit_manifest)
+    rewrite_header(path, edit_sizes)
+
+
 @FUZZ
 @given(text=mutated_treebank())
 def test_mutated_treebank_through_every_subcommand(text):
@@ -165,4 +212,19 @@ def test_mutated_model_through_parse(model_bytes, data):
         with open(model, "wb") as handle:
             handle.write(mutate_model(model_bytes, data))
         run_main("parse", "--model", model, "--input", TOY_TREEBANK,
+                 "--output", os.path.join(tmp, "out.conllu"))
+
+
+@settings(FUZZ, max_examples=40)
+@given(data=st.data())
+def test_self_consistent_model_header_through_parse(model_bytes, data):
+    with tempfile.TemporaryDirectory() as tmp:
+        model = Path(tmp) / "m.model"
+        model.write_bytes(model_bytes)
+        mutate_header(model, data)
+        try:  # the CLI exits 1 on any ValueError; the library must raise its typed one
+            load_model(model)
+        except CorruptModelError:
+            pass
+        run_main("parse", "--model", str(model), "--input", TOY_TREEBANK,
                  "--output", os.path.join(tmp, "out.conllu"))

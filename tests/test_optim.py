@@ -278,22 +278,20 @@ def test_every_write_to_the_values_advances_the_version(write):
 def test_dense_parameter_added_after_packing_raises():
     store = make_store(np.float64)
     store.dense()
-    for add in (lambda: store.matrix("late", 2, 2), lambda: store.vector("late", 2),
-                lambda: store.add_raw("late", np.ones(2)),
-                lambda: store.embedding("w", 6, 9)):  # a table, but the arena holds it
+    for add in (lambda: store.matrix("late", 2, 2), lambda: store.vector("late", 2)):
         with pytest.raises(RuntimeError):
             add()
-    assert "late" not in store and store["w"].rows is None
-    assert store.matrix("w", 6, 9) is store["w"]  # binding an existing one still works
+    assert "late" not in store
     assert store.embedding("late/emb", 3, 2).rows == set()  # tables stay outside the arena
 
 
 def test_dense_parameters_of_mixed_dtypes_do_not_pack():
     # the store holds one dtype, so an arena of two cannot arise
-    store = ParameterStore(seed=0)
+    store = ParameterStore(seed=0, saved={"w": np.ones((2, 3)),
+                                          "w32": np.ones((2, 3), dtype=np.float32)})
     store.matrix("w", 2, 3)
     with pytest.raises(ValueError):
-        store.add_raw("w32", np.ones((2, 3), dtype=np.float32))
+        store.matrix("w32", 2, 3)
     assert "w32" not in store
     assert store.dense()[0].dtype == np.float64
 
@@ -369,10 +367,9 @@ def test_only_embedding_tables_are_row_tracked():
     assert store.embedding("emb", 3, 2).rows == set()
     assert store.matrix("w", 3, 2).rows is None
     assert store.vector("b", 3).rows is None
-    loaded = store.add_raw("loaded/emb", np.ones((3, 2)))
-    assert loaded.rows is None
-    assert store.embedding("loaded/emb", 3, 2) is loaded  # bound, and row-tracked from now on
-    assert loaded.rows == set()
+    saved = np.ones((3, 2))
+    loaded = ParameterStore(seed=0, saved={"emb": saved}).embedding("emb", 3, 2)
+    assert loaded.rows == set() and loaded.value is saved
 
 
 def test_backward_rows_cover_every_nonzero_embedding_row(toy_treebank_path):

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from jamoparse import transition as T
-from jamoparse.autograd import backward, concat
+from jamoparse.autograd import ShapeMismatchError, backward, concat
 from jamoparse.data import (ConlluSentence, Token, build_label_vocabulary, build_vocabularies,
                             evaluate, read_conllu)
 from jamoparse.encoder import SentenceEncoder, UnitConfig
@@ -655,6 +655,23 @@ class TestWordVectorMemo:
         assert model._memo.keys() == fresh._memo.keys()
         for form, row in fresh._memo.items():
             assert np.array_equal(model._memo[form], row), form
+
+    @pytest.mark.parametrize("bad", [("jamo/head", np.zeros((1, 1))), ("unknown", np.zeros(1))],
+                             ids=["shape", "name"])
+    def test_refused_load_state_dict_writes_nothing(self, bad):
+        sentences, model = memo_model()
+        forms = [s.forms for s in sentences[:6]]
+        for f in forms:
+            model.parse(f)  # the memo now holds rows composed with these weights
+        before = model.store.state_dict()
+        _, other = memo_model(seed=11)
+        state = {"jamo/emb": other.store["jamo/emb"].value, bad[0]: bad[1]}
+        with pytest.raises((ShapeMismatchError, KeyError)):
+            model.store.load_state_dict(state)
+        for name, value in before.items():
+            assert np.array_equal(model.store[name].value, value), name
+        fresh = clone(model)
+        assert [model.parse(f) for f in forms] == [fresh.parse(f) for f in forms]
 
     def test_memo_never_holds_more_than_its_bound(self, monkeypatch):
         monkeypatch.setattr(encoder_module, "MEMO_FORMS", 4)
