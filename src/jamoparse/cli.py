@@ -78,15 +78,15 @@ def cmd_train(args) -> int:
     usable = []
     skipped: Counter = Counter()
     for num, sentence in enumerate(train_sentences, start=1):
+        # a sentence training cannot use is reported once, in the skip counts below
+        reason = data.untrainable_reason(sentence)
+        if reason is not None:
+            skipped[reason] += 1
+            continue
         warning = data.root_count_warning(sentence)
         if warning is not None:
             print("warning: sentence %d: %s" % (num, warning), file=sys.stderr)
-        # a sentence training cannot use is reported once, in the skip counts below
-        reason = data.untrainable_reason(sentence)
-        if reason is None:
-            usable.append(sentence)
-        else:
-            skipped[reason] += 1
+        usable.append(sentence)
     nonprojective = skipped.pop("non-projective", 0)
     if nonprojective:
         print("skipping %d non-projective training sentence(s)" % nonprojective, file=sys.stderr)

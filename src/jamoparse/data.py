@@ -380,7 +380,7 @@ def evaluate(gold: list[ConlluSentence], predicted: list[ConlluSentence],
     if len(gold) != len(predicted):
         raise AlignmentError(
             "sentence count mismatch: %d gold vs %d predicted" % (len(gold), len(predicted)))
-    total = correct_heads = correct_labeled = 0
+    total = correct_heads = correct_arcs = 0
     for num, (g, p) in enumerate(zip(gold, predicted), start=1):
         if len(g) != len(p):
             raise AlignmentError(
@@ -392,7 +392,7 @@ def evaluate(gold: list[ConlluSentence], predicted: list[ConlluSentence],
             if gt.head == pt.head:
                 correct_heads += 1
                 if gt.label == pt.label:
-                    correct_labeled += 1
+                    correct_arcs += 1
     if total == 0:
         return 0.0, 0.0
-    return 100.0 * correct_heads / total, 100.0 * correct_labeled / total
+    return 100.0 * correct_heads / total, 100.0 * correct_arcs / total

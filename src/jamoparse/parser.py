@@ -33,7 +33,8 @@ MARGIN = 1.0
 EXPLORATION = 0.1
 #: Global L2 norm gradients are clipped to before each update.
 CLIP_NORM = 5.0
-#: Training oracles: "dynamic" explores, "static" follows the gold transitions.
+#: Training oracles: both pick from ``correct_mask``, "dynamic" by score (and explores),
+#: "static" by the fixed ``TransitionScorer.rank``, which follows the gold transitions.
 ORACLES = ("dynamic", "static")
 
 
@@ -74,12 +75,15 @@ class TransitionScorer:
     node is :meth:`hinge_loss`. Output is one score per labeled transition:
     index 0 is shift, then left-arc per label, then right-arc per label.
     :meth:`block` and :meth:`transition_of` are the only code that knows
-    this layout.
+    this layout. :attr:`rank` ranks every arc above shift: the static
+    oracle's choice among the correct outputs.
     """
 
     def __init__(self, store: ParameterStore, dim_encoder: int, n_labels: int, hidden_dim: int):
         self.n_labels = n_labels
         self.n_outputs = 1 + 2 * n_labels
+        self.rank = np.ones(self.n_outputs)
+        self.rank[self.block(T.SHIFT)] = 0.0
         self.placeholder = store.vector("scorer/placeholder", dim_encoder)
         self.hidden_weight = store.matrix("scorer/W1", hidden_dim, 4 * dim_encoder)
         self.hidden_bias = store.vector("scorer/b1", hidden_dim)
@@ -178,14 +182,19 @@ class TransitionScorer:
         """Which outputs keep the best reachable tree reachable.
 
         ``costs`` is :func:`transition.transition_costs` of ``config``: a
-        correct transition has zero cost and, on a gold arc, the gold label.
+        correct transition has zero cost and, if it builds a gold arc, the
+        gold label; shift, or an arc whose dependent already lost its gold
+        head, is correct with any label.
         """
         mask = np.zeros(self.n_outputs, dtype=bool)
         for kind, cost in costs.items():
             if cost == 0:
                 block = self.block(kind)
-                label = T.correct_label(config, kind, gold_heads, gold_labels)
-                mask[block if label is None else block.start + label] = True
+                arc = T.formed_arc(config, kind)
+                if arc is not None and gold_heads[arc[1]] == arc[0]:
+                    mask[block.start + gold_labels[arc[1]]] = True
+                else:
+                    mask[block] = True
         return mask
 
 
@@ -256,14 +265,13 @@ def sentence_training_pass(encoder, scorer, sentence: ConlluSentence,
             if hinge > 0:
                 violations.append((rows, hidden, values, best_wrong, best_correct))
                 hinge_total += hinge
-        if settings.oracle == "static":
-            move = T.static_oracle(config, costs, gold_heads, gold_labels)
-        else:
-            move = scorer.transition_of(best_correct)
-            if (explore and best_wrong >= 0 and values[best_wrong] > values[best_correct]
-                    and rng.random() < EXPLORATION):
-                move = scorer.transition_of(best_wrong)
-        config.apply(*move)
+        # the static oracle keeps every gold arc reachable, so a zero-cost arc builds
+        # one: its rank takes that arc when there is one, and shift otherwise
+        chosen = best_correct if settings.oracle == "dynamic" else best_index(correct, scorer.rank)
+        if (explore and best_wrong >= 0 and values[best_wrong] > values[best_correct]
+                and rng.random() < EXPLORATION):
+            chosen = best_wrong
+        config.apply(*scorer.transition_of(chosen))
     loss = scorer.hinge_loss(encoded, table, violations) if violations else None
     return loss, hinge_total
 

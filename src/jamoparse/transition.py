@@ -1,4 +1,4 @@
-"""Arc-hybrid transition system: configurations, legality, arcs, and oracle costs.
+"""Arc-hybrid transition system: configurations, legality, arcs, and dynamic-oracle costs.
 
 Token indices are 1-based; index 0 is the artificial root, which starts at
 the bottom of the stack and is never shifted or attached. Every sentence of
@@ -21,12 +21,11 @@ class ParserConfiguration:
     - right-arc attaches the stack top to the item below it and pops.
     """
 
-    __slots__ = ("n_tokens", "stack", "buffer", "heads", "labels")
+    __slots__ = ("stack", "buffer", "heads", "labels")
 
     def __init__(self, n_tokens: int):
         if n_tokens < 1:
             raise ValueError("a sentence needs at least one token")
-        self.n_tokens = n_tokens
         self.stack: list[int] = [0]
         self.buffer: deque[int] = deque(range(1, n_tokens + 1))
         self.heads: dict[int, int] = {}
@@ -94,34 +93,3 @@ def transition_costs(config: ParserConfiguration, gold_heads) -> dict[int, int]:
             cost += sum(1 for item in buffer if gold_heads[item] == dependent)
         costs[kind] = cost
     return costs
-
-
-def correct_label(config: ParserConfiguration, kind: int, gold_heads, gold_labels) -> int | None:
-    """The label a zero-cost ``kind`` must carry to stay correct, or None if any will do.
-
-    Shift carries no label. An arc that builds a gold arc needs its gold
-    label; an arc whose dependent already lost its gold head is
-    label-indifferent.
-    """
-    if kind == SHIFT:
-        return None
-    head, dependent = formed_arc(config, kind)
-    return gold_labels[dependent] if gold_heads[dependent] == head else None
-
-
-def static_oracle(config: ParserConfiguration, costs: dict[int, int], gold_heads,
-                  gold_labels) -> tuple[int, int | None]:
-    """Canonical zero-cost (kind, label) on the gold path: attach eagerly, shift otherwise.
-
-    ``costs`` is :func:`transition_costs` of ``config``. Along the gold
-    transitions of a projective tree a zero-cost gold arc or a zero-cost
-    shift always exists.
-    """
-    for kind in (LEFT_ARC, RIGHT_ARC):
-        if costs.get(kind) == 0:
-            label = correct_label(config, kind, gold_heads, gold_labels)
-            if label is not None:
-                return kind, label
-    if costs.get(SHIFT) == 0:
-        return SHIFT, None
-    raise RuntimeError("no zero-cost transition; gold heads are not a projective tree")

@@ -170,7 +170,8 @@ class TestOracle:
 
     def test_static_oracle_follows_gold_path(self):
         # every projective tree of 1-6 tokens, several root attachments included:
-        # each step of the static walk has a zero-cost gold arc or a zero-cost shift
+        # each step of the static walk takes the move the attach-eagerly rule takes
+        scorer, _ = scorer_fixture(n_labels=3)
         total = 0
         for n in range(1, 7):
             for heads in enumerate_projective_trees(n):
@@ -180,7 +181,11 @@ class TestOracle:
                 steps = 0
                 while not config.is_terminal():
                     costs = T.transition_costs(config, gold_heads)
-                    config.apply(*T.static_oracle(config, costs, gold_heads, gold_labels))
+                    correct = scorer.correct_mask(config, costs, gold_heads, gold_labels)
+                    move = scorer.transition_of(best_index(correct, scorer.rank))
+                    assert move == reference_static_oracle(config, costs, gold_heads,
+                                                           gold_labels)
+                    config.apply(*move)
                     steps += 1
                 assert steps == 2 * n
                 assert config.heads == heads
@@ -334,6 +339,21 @@ def reference_costs(config, gold_heads):
             cost += 1
         costs[T.RIGHT_ARC] = cost
     return costs
+
+
+def reference_static_oracle(config, costs, gold_heads, gold_labels):
+    """Zero-cost (kind, label) by rule: a gold arc, left before right, else shift.
+
+    The reference for the static oracle's fixed rank over ``correct_mask``.
+    """
+    for kind in (T.LEFT_ARC, T.RIGHT_ARC):
+        if costs.get(kind) == 0:
+            head, dependent = T.formed_arc(config, kind)
+            if gold_heads[dependent] == head:
+                return kind, gold_labels[dependent]
+    if costs.get(T.SHIFT) == 0:
+        return T.SHIFT, None
+    raise RuntimeError("no zero-cost transition; gold heads are not a projective tree")
 
 
 def reference_legal_moves(n_labels, config):
