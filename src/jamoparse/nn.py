@@ -165,7 +165,8 @@ class LSTMCell:
     One fused weight matrix of shape (4*hidden, input+hidden) plus a bias;
     gate blocks are ordered input, forget, cell candidate, output. The
     first ``input_dim`` columns act on the input, the rest on the previous
-    hidden state. Sequences, one or a packed batch, run through :func:`bilstm`.
+    hidden state. Sequences, one or a packed batch, run through :func:`bilstm`;
+    :meth:`step` is its per-block kernel, which writes into the caller's rows.
     """
 
     def __init__(self, store: ParameterStore, prefix: str, input_dim: int, hidden_dim: int):
@@ -174,33 +175,38 @@ class LSTMCell:
         self.weights = store.matrix(prefix + "/W", 4 * hidden_dim, input_dim + hidden_dim)
         self.bias = store.vector(prefix + "/b", 4 * hidden_dim)
         # the per-column scale and offset of step's one tanh: 1/2 and 1/2 for the
-        # sigmoid gates, 1 and 0 for the cell candidate
-        self._scale = np.full(4 * hidden_dim, 0.5, dtype=store.dtype)
-        self._scale[2 * hidden_dim:3 * hidden_dim] = 1.0
+        # sigmoid gates, 1 and 0 for the cell candidate; one row, so a one-row block
+        # (the sentence tier's every step) takes numpy's same-shape loop, not a broadcast
+        self._scale = np.full((1, 4 * hidden_dim), 0.5, dtype=store.dtype)
+        self._scale[:, 2 * hidden_dim:3 * hidden_dim] = 1.0
         self._offset = 1.0 - self._scale
 
-    def step(self, gates_x: np.ndarray, hidden: np.ndarray, memory: np.ndarray):
-        """One time step of a batch of sequences on plain arrays; builds no graph node.
+    def step(self, gates: np.ndarray, hidden: np.ndarray, memory: np.ndarray,
+             new_hidden: np.ndarray, new_memory: np.ndarray) -> None:
+        """One time step of a block of sequences, in place on plain arrays; builds no graph node.
 
-        ``gates_x`` holds each sequence's input projection plus the bias, shape
-        (B, 4*hidden); ``hidden`` and ``memory`` its previous states, shape
-        (B, hidden). One sequence may also come as 1-d arrays. Returns the
-        activated gates, the new hidden states and the new memories. All
-        four gates take one ``tanh``, the sigmoid ones as
-        sigma(x) = 1/2 + tanh(x/2)/2, which stays in [0, 1] and cannot overflow.
+        ``gates`` holds each sequence's input projection plus the bias, shape
+        (B, 4*hidden); ``hidden @ W_h^T`` is added into it and it is left
+        holding the activated gates. ``hidden`` and ``memory`` are the
+        previous states, shape (B, hidden); the new ones are written into
+        ``new_hidden`` and ``new_memory``. A previous state may be the very
+        rows its new state is written to (block 0's zero rows in
+        :func:`_lstm_forward`). All four gates take one ``tanh``, the sigmoid
+        ones as sigma(x) = 1/2 + tanh(x/2)/2, which stays in [0, 1] and cannot
+        overflow.
         """
-        gates = hidden @ self.weights.value[:, self.input_dim:].T
-        gates += gates_x
+        gates += hidden @ self.weights.value[:, self.input_dim:].T
         gates *= self._scale
         np.tanh(gates, out=gates)
         gates *= self._scale
         gates += self._offset
         n = self.hidden_dim
-        gate_in, gate_forget = gates[..., :n], gates[..., n:2 * n]
-        candidate, gate_out = gates[..., 2 * n:3 * n], gates[..., 3 * n:]
-        memory = gate_forget * memory
-        memory += gate_in * candidate
-        return gates, gate_out * np.tanh(memory), memory
+        gate_in, gate_forget = gates[:, :n], gates[:, n:2 * n]
+        candidate, gate_out = gates[:, 2 * n:3 * n], gates[:, 3 * n:]
+        np.multiply(gate_forget, memory, out=new_memory)
+        new_memory += gate_in * candidate
+        np.tanh(new_memory, out=new_hidden)
+        new_hidden *= gate_out
 
 
 def bilstm(fwd: LSTMCell, bwd: LSTMCell, inputs: Node, lengths=None) -> Node:
@@ -222,12 +228,17 @@ def bilstm(fwd: LSTMCell, bwd: LSTMCell, inputs: Node, lengths=None) -> Node:
         if x.ndim != 2 or x.shape[1] != cell.input_dim:
             raise ShapeMismatchError(
                 "lstm input has shape %s, expected (T, %d)" % (x.shape, cell.input_dim))
-    lengths = np.array([x.shape[0]] if lengths is None else lengths, dtype=np.intp)
-    if (lengths.ndim != 1 or np.any(lengths < 1) or lengths.sum() != x.shape[0]
-            or np.any(lengths[1:] > lengths[:-1])):
-        raise ValueError("sequence lengths %s must be positive, longest first and sum to %d"
-                         % (lengths.tolist(), x.shape[0]))
-    ahead_rows, behind_rows, sizes, previous = _packing(lengths)
+    if lengths is None:
+        if x.shape[0] < 1:
+            raise ValueError("a sequence needs at least one row")
+        ahead_rows, behind_rows, sizes, previous = _one_sequence(x.shape[0])
+    else:
+        lengths = np.array(lengths, dtype=np.intp)
+        if (lengths.ndim != 1 or np.any(lengths < 1) or lengths.sum() != x.shape[0]
+                or np.any(lengths[1:] > lengths[:-1])):
+            raise ValueError("sequence lengths %s must be positive, longest first and sum to %d"
+                             % (lengths.tolist(), x.shape[0]))
+        ahead_rows, behind_rows, sizes, previous = _packing(lengths)
     ahead = _lstm_forward(fwd, x[ahead_rows], sizes)
     behind = _lstm_forward(bwd, x[behind_rows], sizes)
     split = fwd.hidden_dim
@@ -268,28 +279,36 @@ def _packing(lengths: np.ndarray):
     return ahead, behind, sizes, previous
 
 
+def _one_sequence(rows: int):
+    """:func:`_packing` of one sequence of ``rows`` rows: block t is row t alone."""
+    ahead = np.arange(rows)
+    previous = ahead - 1
+    previous[0] = rows
+    return ahead, ahead[::-1], np.ones(rows, dtype=np.intp), previous
+
+
 def _lstm_forward(cell: LSTMCell, x: np.ndarray, sizes: np.ndarray):
     """One direction over the packed rows ``x``, in blocks of ``sizes`` rows.
 
     Returns the activated gates, shape (N, 4, hidden), then the hidden and
     the memory states, each of shape (N + 1, hidden) with the zero state in
-    the last row.
+    the last row. One GEMM writes every row's input projection into the
+    gate buffer; :meth:`LSTMCell.step` then runs in place on each block's
+    rows of the three buffers. Block t's previous states are the first
+    rows of block t - 1, its own sequences' (the sort keeps the running
+    sequences first); block 0 reads its own rows, still zero.
     """
     rows, n = x.shape[0], cell.hidden_dim
-    gates_x = x @ cell.weights.value[:, :cell.input_dim].T
-    gates_x += cell.bias.value
-    gates = np.empty((rows, 4 * n), dtype=x.dtype)
+    gates = x @ cell.weights.value[:, :cell.input_dim].T
+    gates += cell.bias.value
     hiddens, memories = np.zeros((2, rows + 1, n), dtype=x.dtype)
-    hidden = memory = np.zeros((sizes[0] if sizes.size else 0, n), dtype=x.dtype)
     step = cell.step
-    start = 0
+    before = start = 0  # the first rows of the block before this one, and of this one
     for size in sizes.tolist():
         stop = start + size
-        gates[start:stop], hidden, memory = step(gates_x[start:stop], hidden[:size],
-                                                 memory[:size])
-        hiddens[start:stop] = hidden
-        memories[start:stop] = memory
-        start = stop
+        step(gates[start:stop], hiddens[before:before + size], memories[before:before + size],
+             hiddens[start:stop], memories[start:stop])
+        before, start = start, stop
     return gates.reshape(rows, 4, n), hiddens, memories
 
 

@@ -89,6 +89,7 @@ class TransitionScorer:
         self.hidden_bias = store.vector("scorer/b1", hidden_dim)
         self.out_weight = store.matrix("scorer/W2", self.n_outputs, hidden_dim)
         self.out_bias = store.vector("scorer/b2", self.n_outputs)
+        self._legal: dict[tuple[int, ...], np.ndarray] = {}  # see legal_indices
 
     def block(self, kind: int) -> slice:
         """Output indices of ``kind``: shift's one, or an arc's one per label."""
@@ -128,12 +129,12 @@ class TransitionScorer:
         ``b1`` plus one product per feature slot.
         """
         products = table[1]
-        pre = self.hidden_bias.value.copy()
-        for slot, row in enumerate(rows):
-            pre += products[row, :, slot]
+        pre = self.hidden_bias.value + products[rows[0], :, 0]
+        for slot in (1, 2, 3):
+            pre += products[rows[slot], :, slot]
         hidden = np.tanh(pre, out=pre)
-        scores = self.out_bias.value.copy()
-        scores += self.out_weight.value @ hidden
+        scores = self.out_weight.value @ hidden
+        scores += self.out_bias.value
         return hidden, scores
 
     def hinge_loss(self, encoded: Node, table: tuple[np.ndarray, np.ndarray],
@@ -170,12 +171,21 @@ class TransitionScorer:
         out.backward_fn = backward_fn
         return out
 
-    def legal_mask(self, config: T.ParserConfiguration) -> np.ndarray:
-        """Which outputs are legal transitions in ``config``."""
-        mask = np.zeros(self.n_outputs, dtype=bool)
-        for kind in config.legal_kinds():
-            mask[self.block(kind)] = True
-        return mask
+    def legal_indices(self, config: T.ParserConfiguration) -> np.ndarray:
+        """The outputs that are legal transitions in ``config``, ascending and read-only.
+
+        One array is built per tuple of legal kinds, of which there are at
+        most five, and returned again for every configuration with that tuple.
+        """
+        kinds = tuple(config.legal_kinds())
+        legal = self._legal.get(kinds)
+        if legal is None:
+            mask = np.zeros(self.n_outputs, dtype=bool)
+            for kind in kinds:
+                mask[self.block(kind)] = True
+            legal = self._legal[kinds] = np.flatnonzero(mask)
+            legal.flags.writeable = False
+        return legal
 
     def correct_mask(self, config: T.ParserConfiguration, costs: dict[int, int],
                      gold_heads, gold_labels) -> np.ndarray:
@@ -206,11 +216,16 @@ def feature_rows(config: T.ParserConfiguration) -> list[int]:
     return rows
 
 
-def best_index(mask: np.ndarray, values: np.ndarray) -> int:
-    """Index of the highest value where ``mask`` holds, the lowest among ties; -1 if none."""
-    if not mask.any():
+def best_index(indices: np.ndarray, values: np.ndarray) -> int:
+    """The member of the ascending ``indices`` with the highest value; -1 if there is none.
+
+    Ties go to the lowest index, and a NaN beats every number (the first
+    NaN wins, as in ``np.argmax``). Only the members are compared, so the
+    answer is a member even when every member's value is -inf.
+    """
+    if not indices.size:
         return -1
-    return int(np.argmax(np.where(mask, values, -np.inf)))
+    return int(indices[values[indices].argmax()])
 
 
 def greedy_parse(encoder: SentenceEncoder, scorer: TransitionScorer, forms: list[str],
@@ -218,14 +233,16 @@ def greedy_parse(encoder: SentenceEncoder, scorer: TransitionScorer, forms: list
     """Parse one sentence; returns (head, label id) per token.
 
     The highest-scoring legal transition is applied until the terminal
-    configuration; ties break towards the lowest transition index. A
+    configuration: :func:`best_index` over the scorer's cached
+    :meth:`~TransitionScorer.legal_indices`, so ties break towards the
+    lowest transition index and a legal move is taken whatever the scores. A
     ``memo`` of composed word vectors goes to :meth:`SentenceEncoder.encode`.
     """
     table = scorer.feature_table(encoder.encode(forms, memo=memo))
     config = T.ParserConfiguration(len(forms))
     while not config.is_terminal():
         _, values = scorer.scores(table, feature_rows(config))
-        config.apply(*scorer.transition_of(best_index(scorer.legal_mask(config), values)))
+        config.apply(*scorer.transition_of(best_index(scorer.legal_indices(config), values)))
     return [(config.heads[i], config.labels[i]) for i in range(1, len(forms) + 1)]
 
 
@@ -255,9 +272,11 @@ def sentence_training_pass(encoder, scorer, sentence: ConlluSentence,
         costs = T.transition_costs(config, gold_heads)
         rows = feature_rows(config)
         hidden, values = scorer.scores(table, rows)
-        correct = scorer.correct_mask(config, costs, gold_heads, gold_labels)
+        correct_mask = scorer.correct_mask(config, costs, gold_heads, gold_labels)
+        legal = scorer.legal_indices(config)
+        correct = np.flatnonzero(correct_mask)
         best_correct = best_index(correct, values)
-        best_wrong = best_index(scorer.legal_mask(config) & ~correct, values)
+        best_wrong = best_index(legal[~correct_mask[legal]], values)
         if best_correct < 0:
             raise RuntimeError("no correct transition available; oracle invariant broken")
         if best_wrong >= 0:

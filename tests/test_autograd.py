@@ -190,9 +190,10 @@ class TestLSTM:
         cell.bias.value.fill(0.0)
         states = bilstm(cell, cell, constant([[5.0, -1.0, 2.0]]))
         assert np.array_equal(states.value, np.zeros((1, 4)))
-        _, h, c = cell.step(np.zeros(8), np.zeros(2), np.zeros(2))
-        assert np.array_equal(h, np.zeros(2))
-        assert np.array_equal(c, np.zeros(2))
+        h, c = np.full((1, 2), np.nan), np.full((1, 2), np.nan)
+        cell.step(np.zeros((1, 8)), np.zeros((1, 2)), np.zeros((1, 2)), h, c)
+        assert np.array_equal(h, np.zeros((1, 2)))
+        assert np.array_equal(c, np.zeros((1, 2)))
 
     def test_matches_gate_by_gate_oracle(self):
         # fixed 2-dim weights; oracle is an independent gate-by-gate evaluation
@@ -217,10 +218,11 @@ class TestLSTM:
         c_expected = f * c0 + i * g
         h_expected = o * np.tanh(c_expected)
 
-        # the step kernel takes the input projection plus bias precomputed
-        _, h, c = cell.step(weights[:, :2] @ x + bias, h0, c0)
-        assert np.allclose(h, h_expected)
-        assert np.allclose(c, c_expected)
+        # the step kernel takes the input projection plus bias precomputed, one row per sequence
+        h, c = np.empty((1, 2)), np.empty((1, 2))
+        cell.step((weights[:, :2] @ x + bias)[None], h0[None], c0[None], h, c)
+        assert np.allclose(h[0], h_expected)
+        assert np.allclose(c[0], c_expected)
 
     def test_repeated_steps_stay_bounded(self):
         store = ParameterStore(seed=5)

@@ -80,9 +80,9 @@ def test_step_is_called_once_per_direction_and_position(monkeypatch):
     calls = []
     original = LSTMCell.step
 
-    def counting(self, gates_x, hidden, memory):
+    def counting(self, gates, hidden, memory, new_hidden, new_memory):
         calls.append(self)
-        return original(self, gates_x, hidden, memory)
+        return original(self, gates, hidden, memory, new_hidden, new_memory)
 
     monkeypatch.setattr(LSTMCell, "step", counting)
     store = ParameterStore(seed=0)
@@ -127,9 +127,9 @@ def test_step_runs_once_per_packed_step_on_the_sequences_still_running(monkeypat
     blocks = []
     original = LSTMCell.step
 
-    def recording(self, gates_x, hidden, memory):
+    def recording(self, gates, hidden, memory, new_hidden, new_memory):
         blocks.append((self, hidden.shape[0]))
-        return original(self, gates_x, hidden, memory)
+        return original(self, gates, hidden, memory, new_hidden, new_memory)
 
     monkeypatch.setattr(LSTMCell, "step", recording)
     store = ParameterStore(seed=0)
@@ -155,14 +155,16 @@ EXTREMES = [0.0, 40.0, -40.0, 800.0, -800.0, 1e300, -1e300, 0.5, -3.0]
     (np.float32, EXTREMES[:5] + EXTREMES[7:], 1.2e-7),  # 1e300 is no float32
 ])
 def test_step_gates_on_extreme_preactivations(dtype, extremes, tolerance):
-    # zero previous states: the pre-activation is gates_x, each value in every gate block
+    # zero previous states: the pre-activation is the input projection, each value in every
+    # gate block
     pre = np.repeat(np.array(extremes, dtype=dtype)[:, None], 4, axis=1)
     store = ParameterStore(seed=0, dtype=dtype)
     cell = LSTMCell(store, "cell", 1, 1)
     zeros = np.zeros((len(extremes), 1), dtype=dtype)
+    gates, hidden, memory = pre.copy(), np.empty_like(zeros), np.empty_like(zeros)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        gates, hidden, memory = cell.step(pre, zeros, zeros)
+        cell.step(gates, zeros, zeros, hidden, memory)
     assert gates.dtype == hidden.dtype == memory.dtype == dtype
     assert np.all(np.isfinite(gates)) and np.all(np.isfinite(hidden))
     sigmoid_gates = gates[:, [0, 1, 3]]

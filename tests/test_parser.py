@@ -182,7 +182,7 @@ class TestOracle:
                 while not config.is_terminal():
                     costs = T.transition_costs(config, gold_heads)
                     correct = scorer.correct_mask(config, costs, gold_heads, gold_labels)
-                    move = scorer.transition_of(best_index(correct, scorer.rank))
+                    move = scorer.transition_of(best_index(np.flatnonzero(correct), scorer.rank))
                     assert move == reference_static_oracle(config, costs, gold_heads,
                                                            gold_labels)
                     config.apply(*move)
@@ -270,7 +270,7 @@ class TestScorer:
         scorer, _ = scorer_fixture(n_labels=2)
         config = T.ParserConfiguration(2)
         config.apply(T.SHIFT)
-        indices = np.flatnonzero(scorer.legal_mask(config))
+        indices = scorer.legal_indices(config)
         kinds = {scorer.transition_of(int(i))[0] for i in indices}
         assert kinds == set(config.legal_kinds())
 
@@ -305,7 +305,7 @@ class TestScorer:
             np.testing.assert_allclose(got_scores, scores, rtol=1e-5, atol=1e-6)
 
 
-# The per-index transition choice that legal_mask, correct_mask and best_index
+# The per-index transition choice that legal_indices, correct_mask and best_index
 # replaced, kept as their reference.
 
 def reference_transition_index(n_labels, kind, label):
@@ -419,8 +419,8 @@ class TestTransitionChoice:
         cases = 0
         for config, costs, gold_heads, gold_labels in oracle_cases():
             moves = reference_legal_moves(3, config)
-            legal = scorer.legal_mask(config)
-            assert np.flatnonzero(legal).tolist() == [index for index, _, _ in moves]
+            legal = scorer.legal_indices(config)
+            assert legal.tolist() == [index for index, _, _ in moves]
             correct = scorer.correct_mask(config, costs, gold_heads, gold_labels)
             expected = [index for index, kind, label in moves
                         if reference_is_correct(config, costs, kind, label,
@@ -438,9 +438,11 @@ class TestTransitionChoice:
                 continue
             for _ in range(3):
                 values = rng.integers(0, 3, size=scorer.n_outputs).astype(float)
-                legal = scorer.legal_mask(config)
-                correct = scorer.correct_mask(config, costs, gold_heads, gold_labels)
-                chosen = (best_index(correct, values), best_index(legal & ~correct, values))
+                legal = scorer.legal_indices(config)
+                correct = np.flatnonzero(scorer.correct_mask(config, costs, gold_heads,
+                                                             gold_labels))
+                chosen = (best_index(correct, values),
+                          best_index(np.setdiff1d(legal, correct), values))
                 assert chosen == reference_best_correct_and_wrong(
                     3, config, costs, values, gold_heads, gold_labels)
                 without_wrong += chosen[1] < 0
@@ -448,6 +450,23 @@ class TestTransitionChoice:
                 masked[legal] = values[legal]
                 assert best_index(legal, values) == int(np.argmax(masked))
         assert without_wrong
+
+    @settings(max_examples=300, deadline=None)
+    @given(values=st.lists(st.sampled_from([-np.inf, np.inf, np.nan, -1.0, 0.0, 0.0, 2.5]),
+                           min_size=1, max_size=12),
+           dtype=st.sampled_from([np.float64, np.float32]), data=st.data())
+    def test_best_index_returns_the_lowest_best_member(self, values, dtype, data):
+        values = np.array(values, dtype=dtype)
+        members = sorted(data.draw(st.sets(st.integers(0, len(values) - 1)), label="members"))
+        got = best_index(np.array(members, dtype=np.intp), values)
+        if not members:
+            assert got == -1
+            return
+        assert got in members
+        # the first NaN among the members wins; otherwise the lowest member holding the maximum
+        nans = [i for i in members if np.isnan(values[i])]
+        top = max(values[i] for i in members)
+        assert got == (nans[0] if nans else next(i for i in members if values[i] == top))
 
 
 def reference_training_pass(encoder, scorer, sentence, label_vocab):
@@ -470,9 +489,9 @@ def reference_training_pass(encoder, scorer, sentence, label_vocab):
         features = concat([vectors[i - 1] if i else scorer.placeholder for i in slots])
         hidden = affine_tanh([(scorer.hidden_weight, features)], scorer.hidden_bias)
         scores = affine([(scorer.out_weight, hidden)], scorer.out_bias)
-        correct = scorer.correct_mask(config, costs, gold_heads, gold_labels)
+        correct = np.flatnonzero(scorer.correct_mask(config, costs, gold_heads, gold_labels))
         best_correct = best_index(correct, scores.value)
-        best_wrong = best_index(scorer.legal_mask(config) & ~correct, scores.value)
+        best_wrong = best_index(np.setdiff1d(scorer.legal_indices(config), correct), scores.value)
         if best_wrong >= 0 and MARGIN + scores.value[best_wrong] - scores.value[best_correct] > 0:
             terms.append(sub(pick(scores, best_wrong), pick(scores, best_correct)))
         config.apply(*scorer.transition_of(best_correct))
@@ -941,6 +960,18 @@ class TestModelIO:
             assert np.array_equal(a.value, b.value), name
         forms = sentences[0].forms
         assert loaded.parse(forms) == model.parse(forms)
+
+    def test_a_model_scoring_every_arc_minus_inf_still_parses_legal_trees(self, overfit_result,
+                                                                          tmp_path):
+        # where shift is illegal every legal output then scores -inf, as the illegal ones do
+        sentences, result = overfit_result
+        path = tmp_path / "model.bin"
+        save_model(TrainedModel.from_training(result), path)
+        model = load_model(path)
+        model.store["scorer/b2"].value[1:] = -np.inf
+        model.store.version += 1
+        for sentence in sentences:
+            assert_well_formed_tree(sentence.forms, model.parse(sentence.forms))
 
     def test_save_load_save_is_byte_identical(self, overfit_result, tmp_path):
         _, result = overfit_result
