@@ -228,17 +228,12 @@ def bilstm(fwd: LSTMCell, bwd: LSTMCell, inputs: Node, lengths=None) -> Node:
         if x.ndim != 2 or x.shape[1] != cell.input_dim:
             raise ShapeMismatchError(
                 "lstm input has shape %s, expected (T, %d)" % (x.shape, cell.input_dim))
-    if lengths is None:
-        if x.shape[0] < 1:
-            raise ValueError("a sequence needs at least one row")
-        ahead_rows, behind_rows, sizes, previous = _one_sequence(x.shape[0])
-    else:
-        lengths = np.array(lengths, dtype=np.intp)
-        if (lengths.ndim != 1 or np.any(lengths < 1) or lengths.sum() != x.shape[0]
-                or np.any(lengths[1:] > lengths[:-1])):
-            raise ValueError("sequence lengths %s must be positive, longest first and sum to %d"
-                             % (lengths.tolist(), x.shape[0]))
-        ahead_rows, behind_rows, sizes, previous = _packing(lengths)
+    lengths = np.array([x.shape[0]] if lengths is None else lengths, dtype=np.intp)
+    if (lengths.ndim != 1 or np.any(lengths < 1) or lengths.sum() != x.shape[0]
+            or np.any(lengths[1:] > lengths[:-1])):
+        raise ValueError("sequence lengths %s must be positive, longest first and sum to %d"
+                         % (lengths.tolist(), x.shape[0]))
+    ahead_rows, behind_rows, sizes, previous = _packing(lengths)
     ahead = _lstm_forward(fwd, x[ahead_rows], sizes)
     behind = _lstm_forward(bwd, x[behind_rows], sizes)
     split = fwd.hidden_dim
@@ -277,14 +272,6 @@ def _packing(lengths: np.ndarray):
     behind = starts[sequence] + lengths[sequence] - 1 - step
     previous = np.where(step > 0, offsets[step - 1] + sequence, len(step))
     return ahead, behind, sizes, previous
-
-
-def _one_sequence(rows: int):
-    """:func:`_packing` of one sequence of ``rows`` rows: block t is row t alone."""
-    ahead = np.arange(rows)
-    previous = ahead - 1
-    previous[0] = rows
-    return ahead, ahead[::-1], np.ones(rows, dtype=np.intp), previous
 
 
 def _lstm_forward(cell: LSTMCell, x: np.ndarray, sizes: np.ndarray):

@@ -147,6 +147,13 @@ def test_lengths_must_be_positive_sorted_and_cover_the_rows(lengths):
         bilstm(fwd, bwd, constant(np.ones((3, 2))), lengths)
 
 
+def test_one_sequence_of_no_rows_is_rejected():
+    store = ParameterStore(seed=0)
+    fwd, bwd = LSTMCell(store, "fwd", 2, 2), LSTMCell(store, "bwd", 2, 2)
+    with pytest.raises(ValueError, match="lengths"):
+        bilstm(fwd, bwd, constant(np.ones((0, 2))))
+
+
 EXTREMES = [0.0, 40.0, -40.0, 800.0, -800.0, 1e300, -1e300, 0.5, -3.0]
 
 

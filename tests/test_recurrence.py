@@ -109,7 +109,7 @@ def test_bilstm_value_and_gradients_match_the_copying_recurrence(lengths, dims, 
         lengths = lengths[:1]
     x = rng.normal(size=(sum(lengths), input_dim)).astype(dtype)
     upstream = rng.normal(size=(sum(lengths), sum(hidden))).astype(dtype)
-    # the change runs a single sequence through lengths=None, the reference through its packing
+    # a single sequence runs through lengths=None, the reference through explicit lengths
     got = run_bilstm(make_cells(seed, dtype, input_dim, hidden), x,
                      None if one_sequence else lengths, upstream)
     with mock.patch.object(nn, "_lstm_forward", reference_lstm_forward):
@@ -118,9 +118,3 @@ def test_bilstm_value_and_gradients_match_the_copying_recurrence(lengths, dims, 
         assert g.dtype == dtype, name
         assert np.array_equal(g, w), name
 
-
-@given(rows=st.integers(1, 40))
-def test_one_sequence_packing_equals_the_general_packing(rows):
-    for got, want in zip(nn._one_sequence(rows), nn._packing(np.array([rows]))):
-        assert got.dtype == want.dtype
-        assert np.array_equal(got, want)
