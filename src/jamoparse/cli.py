@@ -177,7 +177,7 @@ def cmd_stats(args) -> int:
     sentences = data.read_conllu(args.treebank)
     for issue in data.validate_treebank(sentences):
         print("warning: %s" % issue, file=sys.stderr)
-    _, _, _, stats = data.build_vocabularies(sentences)
+    stats = data.corpus_stats(sentences)
     print("trees=%d projective=%d nonprojective=%d"
           % (stats.n_trees, stats.n_projective, stats.n_nonprojective))
     print("word_types=%d" % stats.word_types)

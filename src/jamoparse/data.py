@@ -229,47 +229,39 @@ class CorpusStats:
 
 def build_vocabularies(
     sentences: list[ConlluSentence],
-) -> tuple[Vocabulary, Vocabulary, Vocabulary, CorpusStats]:
-    """Word/char/jamo vocabularies plus corpus statistics.
+) -> tuple[Vocabulary, Vocabulary, Vocabulary]:
+    """Jamo, char and word vocabularies of the forms; heads and labels are not read.
 
-    The jamo tier holds canonical Korean letters and atomic non-Hangul
-    characters; the empty tail lives in the vocabulary as a special, not as
-    a counted type.
+    The jamo tier holds the :func:`hangul.units` of every character:
+    canonical Korean letters and atomic non-Hangul characters. The empty
+    tail lives in the vocabulary as a special, not as a counted type.
     """
     if not sentences:
         raise ValueError("empty treebank")
-    word_counts: Counter = Counter()
-    char_counts: Counter = Counter()
-    jamo_counts: Counter = Counter()
-    n_projective = 0
-    for sentence in sentences:
-        if is_projective(sentence):
-            n_projective += 1
-        for token in sentence.tokens:
-            word_counts[token.form] += 1
-            for char in token.form:
-                char_counts[char] += 1
-            for unit in hangul.decompose_text(token.form):
-                if isinstance(unit, hangul.JamoTriple):
-                    for letter in unit.letters():
-                        jamo_counts[letter] += 1
-                else:
-                    jamo_counts[unit] += 1
-    stats = CorpusStats(
+    forms = [token.form for sentence in sentences for token in sentence.tokens]
+    jamo_counts = Counter(unit for form in forms for char in form for unit in hangul.units(char))
+    del jamo_counts[hangul.EMPTY]  # the special; a Counter ignores a missing key
+    return (Vocabulary.build("jamo", jamo_counts),
+            Vocabulary.build("char", Counter("".join(forms))),
+            Vocabulary.build("word", Counter(forms)))
+
+
+def corpus_stats(sentences: list[ConlluSentence]) -> CorpusStats:
+    """Tree and unit-type counts of a treebank; the tree counts need gold heads.
+
+    A tier's type count is the size of its :func:`build_vocabularies` ``counts``.
+    """
+    jamo_vocab, char_vocab, word_vocab = build_vocabularies(sentences)
+    n_projective = sum(is_projective(sentence) for sentence in sentences)
+    return CorpusStats(
         n_trees=len(sentences),
         n_projective=n_projective,
         n_nonprojective=len(sentences) - n_projective,
-        word_types=len(word_counts),
-        char_types=len(char_counts),
-        char_types_korean=sum(1 for c in char_counts if hangul.is_syllable(c)),
-        jamo_types=len(jamo_counts),
-        jamo_types_korean=sum(1 for j in jamo_counts if j in hangul.ALPHABET),
-    )
-    return (
-        Vocabulary.build("jamo", jamo_counts),
-        Vocabulary.build("char", char_counts),
-        Vocabulary.build("word", word_counts),
-        stats,
+        word_types=len(word_vocab.counts),
+        char_types=len(char_vocab.counts),
+        char_types_korean=sum(1 for c in char_vocab.counts if hangul.is_syllable(c)),
+        jamo_types=len(jamo_vocab.counts),
+        jamo_types_korean=sum(1 for j in jamo_vocab.counts if j in hangul.ALPHABET),
     )
 
 

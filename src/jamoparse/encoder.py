@@ -20,6 +20,19 @@ from .nn import LSTMCell, ParameterStore, bilstm
 from .vocab import Vocabulary
 
 
+def require_ints(settings, names, minimum: int | None = None) -> None:
+    """ValueError naming the first of ``names`` on ``settings`` that is not an int >= ``minimum``.
+
+    Python and numpy integers pass and a bool does not; a None ``minimum`` is no bound.
+    """
+    for name in names:
+        value = getattr(settings, name)
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise ValueError("%s must be an int, got %r" % (name, value))
+        if minimum is not None and value < minimum:
+            raise ValueError("%s must be >= %d" % (name, minimum))
+
+
 @dataclass(frozen=True)
 class UnitConfig:
     """Dimensions of the jamo, character, word, and encoder tiers.
@@ -34,9 +47,7 @@ class UnitConfig:
     dim_encoder: int = 250
 
     def __post_init__(self):
-        for name in ("dim_jamo", "dim_char", "dim_word", "dim_encoder"):
-            if getattr(self, name) < 0:
-                raise ValueError("%s must be >= 0" % name)
+        require_ints(self, ("dim_jamo", "dim_char", "dim_word", "dim_encoder"), minimum=0)
         if self.dim_jamo == 0 and self.dim_char == 0 and self.dim_word == 0:
             raise ValueError("at least one of jamo/char/word dimensions must be positive")
         if self.dim_encoder <= 0 or self.dim_encoder % 2:
@@ -115,12 +126,10 @@ class SentenceEncoder:
         self.layer2_bwd = LSTMCell(store, "enc/l2_bwd", config.dim_encoder, half)
 
     def _letter_ids(self, char: str) -> tuple[int, ...]:
-        """Jamo ids of ``char``: (head, vowel, tail) of a syllable, else its own id alone."""
+        """Jamo ids of ``char``'s :func:`hangul.units`: (head, vowel, tail) or its own id alone."""
         ids = self._letters.get(char)
         if ids is None:
-            triple = hangul.decompose(char)
-            letters = (char,) if triple is None else tuple(triple)
-            ids = self._letters[char] = tuple(self.jamo_vocab.id_of(unit) for unit in letters)
+            ids = self._letters[char] = tuple(map(self.jamo_vocab.id_of, hangul.units(char)))
         return ids
 
     def char_repr(self, chars: Sequence[str]) -> Node:

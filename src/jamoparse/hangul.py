@@ -52,16 +52,6 @@ class JamoTriple:
         yield self.vowel
         yield self.tail
 
-    @property
-    def has_tail(self) -> bool:
-        return self.tail != EMPTY
-
-    def letters(self) -> tuple[str, ...]:
-        """The non-empty letters of the triple."""
-        if self.has_tail:
-            return (self.head, self.vowel, self.tail)
-        return (self.head, self.vowel)
-
 
 def is_syllable(char: str) -> bool:
     """True iff ``char`` is a precomposed Hangul syllable."""
@@ -89,6 +79,16 @@ def decompose(char: str) -> JamoTriple | None:
         VOWEL_LETTERS[vowel],
         TAIL_LETTERS[tail - 1] if tail else EMPTY,
     )
+
+
+def units(char: str) -> tuple[str, ...]:
+    """The jamo-tier units of one character.
+
+    A syllable's are its head, vowel and tail (:data:`EMPTY` for an open
+    syllable); any other character is its own one unit.
+    """
+    triple = decompose(char)
+    return (char,) if triple is None else tuple(triple)
 
 
 def compose(triple: JamoTriple) -> str:

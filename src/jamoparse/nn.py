@@ -90,9 +90,6 @@ class ParameterStore:
     def __getitem__(self, name: str) -> Parameter:
         return self._params[name]
 
-    def names(self) -> list[str]:
-        return list(self._params)
-
     def parameters(self) -> Iterator[tuple[str, Parameter]]:
         return iter(self._params.items())
 
@@ -319,17 +316,15 @@ def _lstm_backward(cell: LSTMCell, x: np.ndarray, sizes: np.ndarray, previous: n
     through_tanh = gate_out * (1.0 - tanh_memory * tanh_memory)
     recurrent = cell.weights.value[:, cell.input_dim:]
     d_gates = np.empty_like(gates)
-    stop = rows
-    later = 0  # rows in the block after this one: their sequences continue it
-    d_c_later = None
+    # rows in the block after this one (their sequences continue it) and their d memory;
+    # the last block has none, so its slices below are empty and add nothing
+    stop, later, d_c_later = rows, 0, d_hidden[rows:]
     for size in sizes.tolist()[::-1]:
         start = stop - size
         d_h = d_hidden[start:stop]
-        if later:
-            d_h[:later] += d_gates[stop:stop + later].reshape(later, 4 * n) @ recurrent
+        d_h[:later] += d_gates[stop:stop + later].reshape(later, 4 * n) @ recurrent
         d_c = d_h * through_tanh[start:stop]
-        if later:
-            d_c[:later] += d_c_later * gate_forget[stop:stop + later]
+        d_c[:later] += d_c_later * gate_forget[stop:stop + later]
         np.multiply(slope[start:stop, :3], d_c[:, None], out=d_gates[start:stop, :3])
         np.multiply(slope[start:stop, 3], d_h, out=d_gates[start:stop, 3])
         stop, later, d_c_later = start, size, d_c

@@ -10,7 +10,7 @@ from . import transition as T
 from .autograd import Node, _accumulate, backward
 from .data import (ConlluSentence, Token, build_label_vocabulary, build_vocabularies, evaluate,
                    load_embeddings, untrainable_reason)
-from .encoder import SentenceEncoder, UnitConfig
+from .encoder import SentenceEncoder, UnitConfig, require_ints
 from .nn import OPTIMIZERS, ParameterStore, clip_gradients
 from .vocab import Vocabulary
 
@@ -52,10 +52,10 @@ class TrainSettings:
     float32: bool = False
 
     def __post_init__(self):
-        if self.epochs < 0:
-            raise ValueError("epochs must be >= 0")
-        if self.seed < 0:
-            raise ValueError("seed must be >= 0")
+        require_ints(self, ("epochs", "seed"), minimum=0)
+        require_ints(self, ("hidden_dim", "explore_from_epoch"))
+        if not isinstance(self.float32, bool):
+            raise ValueError("float32 must be a bool, got %r" % (self.float32,))
         if self.hidden_dim < 1:
             raise ValueError("hidden_dim must be positive")
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
@@ -394,7 +394,7 @@ def train(train_sentences: list[ConlluSentence],
         if not all(sentence.forms):
             raise EmptyFormError("dev sentence %d has an empty form" % num)
 
-    jamo_vocab, char_vocab, word_vocab, _ = build_vocabularies(train_sentences)
+    jamo_vocab, char_vocab, word_vocab = build_vocabularies(train_sentences)
     label_vocab = build_label_vocabulary(train_sentences)
     if embedding_vectors and expand_vocabulary:
         word_vocab.add_tokens(embedding_vectors)

@@ -6,8 +6,6 @@ n tokens is parsed in exactly 2n transitions (n shifts, n attachments).
 """
 from __future__ import annotations
 
-from collections import deque
-
 SHIFT = 0
 LEFT_ARC = 1
 RIGHT_ARC = 2
@@ -15,6 +13,9 @@ RIGHT_ARC = 2
 
 class ParserConfiguration:
     """Stack, buffer, and arc set of a partial parse.
+
+    The buffer is always the sentence's unshifted suffix, so it is a
+    ``range``: membership is a bounds check.
 
     - shift moves the first buffer token onto the stack;
     - left-arc attaches the stack top to the first buffer token and pops;
@@ -27,7 +28,7 @@ class ParserConfiguration:
         if n_tokens < 1:
             raise ValueError("a sentence needs at least one token")
         self.stack: list[int] = [0]
-        self.buffer: deque[int] = deque(range(1, n_tokens + 1))
+        self.buffer = range(1, n_tokens + 1)
         self.heads: dict[int, int] = {}
         self.labels: dict[int, int] = {}
 
@@ -50,7 +51,8 @@ class ParserConfiguration:
         if kind not in self.legal_kinds():
             raise ValueError("transition kind %r is not legal here" % (kind,))
         if kind == SHIFT:
-            self.stack.append(self.buffer.popleft())
+            self.stack.append(self.buffer[0])
+            self.buffer = self.buffer[1:]
             return
         head, dependent = formed_arc(self, kind)
         self.stack.pop()

@@ -19,7 +19,7 @@ from jamoparse import hangul
 from jamoparse import transition as T
 from jamoparse.autograd import concat, gather
 from jamoparse.cli import decompose_lines
-from jamoparse.data import (ConlluSentence, Token, build_vocabularies, evaluate,
+from jamoparse.data import (ConlluSentence, Token, build_vocabularies, corpus_stats, evaluate,
                             is_projective, read_conllu)
 from jamoparse.encoder import SentenceEncoder, UnitConfig
 from jamoparse.model_io import TrainedModel
@@ -148,7 +148,7 @@ def _full_stack_gradient_check():
         ConlluSentence([Token("산을", 2, "obj"), Token("갔다", 0, "root")]),
         ConlluSentence([Token("물", 0, "root")]),
     ]
-    jamo_v, char_v, word_v, _ = build_vocabularies(treebank)
+    jamo_v, char_v, word_v = build_vocabularies(treebank)
     label_v = Vocabulary.build("label", {"obj": 1, "root": 2})
     store = ParameterStore(seed=2, dtype=np.float64)
     config = UnitConfig(dim_jamo=3, dim_char=2, dim_word=3, dim_encoder=4)
@@ -247,7 +247,7 @@ def test_parse_well_formedness_fuzz():
         rng = np.random.default_rng(123)
         seed_corpus = [ConlluSentence([Token(_random_word(rng), 0, "root")])
                        for _ in range(40)]
-        jamo_v, char_v, word_v, _ = build_vocabularies(seed_corpus)
+        jamo_v, char_v, word_v = build_vocabularies(seed_corpus)
         label_v = Vocabulary.build("label", {"a": 1, "b": 1, "c": 1})
         config = UnitConfig(dim_jamo=8, dim_char=0, dim_word=8, dim_encoder=16)
         n_models = 5
@@ -290,7 +290,7 @@ TREEBANK_DIR = os.environ.get("KOREAN_TREEBANK_DIR")
 def test_optional_stats_reproduction():
     with criterion("train-split statistics match the reference counts exactly"):
         sentences = read_conllu(_treebank_file(TREEBANK_DIR, "train"))
-        _, _, _, stats = build_vocabularies(sentences)
+        stats = corpus_stats(sentences)
         assert stats.n_projective == 5425
         assert stats.n_nonprojective == 12
         assert stats.word_types == 31060

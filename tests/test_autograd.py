@@ -262,12 +262,12 @@ class TestParameterStore:
         store = ParameterStore(seed=1)
         store.vector("b", 2)
         a = store.vector("a", 2)
-        assert store.names() == ["b", "a"]
+        assert [name for name, _ in store.parameters()] == ["b", "a"]
         for again in (lambda: store.vector("a", 2), lambda: store.matrix("a", 2, 3),
                       lambda: store.embedding("a", 2, 3)):
             with pytest.raises(ValueError, match="'a' already exists"):
                 again()  # a name is created once, whatever its shape or kind
-        assert store.names() == ["b", "a"] and store["a"] is a
+        assert [name for name, _ in store.parameters()] == ["b", "a"] and store["a"] is a
 
     def test_saved_arrays_are_taken_without_a_draw(self):
         saved = {"m": np.full((2, 3), 0.5), "e": np.ones((4, 2))}
@@ -280,7 +280,7 @@ class TestParameterStore:
         with pytest.raises(KeyError):
             store.vector("missing", 3)
         assert store.rng.bit_generator.state == state
-        assert store.names() == ["m", "e"]
+        assert [name for name, _ in store.parameters()] == ["m", "e"]
 
     def test_same_seed_same_init(self):
         values = []

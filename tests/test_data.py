@@ -11,8 +11,8 @@ from hypothesis import given, settings, strategies as st
 from jamoparse import data, hangul
 from jamoparse.data import (AlignmentError, ConlluFormatError, ConlluSentence,
                             EmbeddingFormatError, Token, build_label_vocabulary,
-                            build_vocabularies, check_tree, evaluate, is_projective,
-                            load_embeddings,
+                            build_vocabularies, check_tree, corpus_stats, evaluate,
+                            is_projective, load_embeddings,
                             read_conllu, read_embeddings, validate_treebank, write_conllu)
 from jamoparse.vocab import UNK, Vocabulary
 
@@ -207,7 +207,8 @@ class TestCheckTree:
 class TestVocabularies:
     def test_single_word_corpus(self):
         tb = [sentence(("갔다", 0, "root"))]
-        jamo_v, char_v, word_v, stats = build_vocabularies(tb)
+        jamo_v, char_v, word_v = build_vocabularies(tb)
+        stats = corpus_stats(tb)
         assert stats.word_types == 1
         assert stats.char_types == 2
         assert stats.char_types_korean == 2
@@ -217,11 +218,13 @@ class TestVocabularies:
         assert hangul.EMPTY in jamo_v
         assert UNK in jamo_v and UNK in char_v and UNK in word_v
         assert len(jamo_v) == 4 + 2
+        assert jamo_v.counts == {"ㄱ": 1, "ㅏ": 2, "ㅆ": 1, "ㄷ": 1}
         assert word_v.count_of("갔다") == 1
 
     def test_atomic_characters_counted_at_jamo_tier(self):
         tb = [sentence(("a갔다@", 0, "root"))]
-        jamo_v, char_v, _, stats = build_vocabularies(tb)
+        jamo_v, char_v, _ = build_vocabularies(tb)
+        stats = corpus_stats(tb)
         assert stats.char_types == 4
         assert stats.char_types_korean == 2
         assert stats.jamo_types == 6  # 4 letters + 'a' + '@'
@@ -232,21 +235,38 @@ class TestVocabularies:
         tb = [sentence(("나는", 2, "nsubj"), ("갔다", 0, "root"))]
         first = build_vocabularies(tb)
         second = build_vocabularies(tb)
-        for a, b in zip(first[:3], second[:3]):
+        for a, b in zip(first, second):
             assert a.tokens == b.tokens
             assert [a.id_of(t) for t in a.tokens] == list(range(len(a)))
 
     def test_type_counts_are_permutation_invariant(self):
         s1 = sentence(("나는", 2, "nsubj"), ("갔다", 0, "root"))
         s2 = sentence(("산을", 2, "obj"), ("갔다", 0, "root"))
-        stats_a = build_vocabularies([s1, s2])[3]
-        stats_b = build_vocabularies([s2, s1])[3]
+        stats_a = corpus_stats([s1, s2])
+        stats_b = corpus_stats([s2, s1])
         assert stats_a == stats_b
+
+    def test_literal_empty_sign_is_the_special_not_a_counted_type(self):
+        tb = [sentence(("a∅다", 0, "root"))]
+        jamo_v, char_v, _ = build_vocabularies(tb)
+        assert jamo_v.tokens == [UNK, hangul.EMPTY, "a", "ㄷ", "ㅏ"]
+        assert hangul.EMPTY not in jamo_v.counts and hangul.EMPTY in char_v.counts
+        assert corpus_stats(tb).jamo_types == 3
+
+    def test_vocabularies_need_no_heads_or_labels(self):
+        rows = [(("나는", 2, "nsubj"), ("갔다", 0, "root")), (("a산", 0, "root"),)]
+        annotated = build_vocabularies([sentence(*r) for r in rows])
+        bare = [sentence(*((form, None, None) for form, _, _ in r)) for r in rows]
+        unannotated = build_vocabularies(bare)
+        assert [v.tokens for v in unannotated] == [v.tokens for v in annotated]
+        assert [v.counts for v in unannotated] == [v.counts for v in annotated]
+        with pytest.raises(ValueError, match="projectivity needs gold heads"):
+            corpus_stats(bare)  # the tree counts do need them
 
     def test_korean_jamo_bound(self):
         tb = [sentence((hangul.compose(hangul.decompose(chr(c))), 0, "root"))
               for c in range(0xAC00, 0xAC00 + 400, 7)]
-        stats = build_vocabularies(tb)[3]
+        stats = corpus_stats(tb)
         assert stats.jamo_types_korean <= 51
 
     def test_token_list_must_open_with_its_kinds_specials(self):

@@ -21,7 +21,7 @@ def treebank_of(words):
 
 
 def make_encoder(config, words, seed=0):
-    jamo_v, char_v, word_v, _ = build_vocabularies(treebank_of(words))
+    jamo_v, char_v, word_v = build_vocabularies(treebank_of(words))
     store = ParameterStore(seed=seed)
     return SentenceEncoder(store, config, jamo_v, char_v, word_v), store
 
@@ -39,6 +39,19 @@ class TestUnitConfig:
             UnitConfig(dim_encoder=5)
         with pytest.raises(ValueError):
             UnitConfig(dim_encoder=0)
+
+    @pytest.mark.parametrize("field,value", [
+        ("dim_encoder", 8.0), ("dim_jamo", 4.5), ("dim_word", True), ("dim_char", "4"),
+        ("dim_jamo", None),
+    ])
+    def test_rejects_a_dimension_that_is_not_an_int(self, field, value):
+        with pytest.raises(ValueError, match=field + " must be an int"):
+            UnitConfig(**{field: value})
+
+    def test_numpy_integer_dimensions_accepted(self):
+        config = UnitConfig(dim_jamo=np.int64(4), dim_char=np.int32(0), dim_word=np.int8(2),
+                            dim_encoder=np.int64(8))
+        assert config.composed_dim == 4 and config.word_input_dim == 6
 
     def test_composed_dim_tracks_enabled_tiers(self):
         assert UnitConfig(dim_jamo=3, dim_char=2).composed_dim == 3
@@ -288,7 +301,7 @@ def test_full_encoder_gradients_two_word_sentence():
 
 
 def test_float32_store_keeps_encodings_and_gradients_float32():
-    jamo_v, char_v, word_v, _ = build_vocabularies(treebank_of(CORPUS))
+    jamo_v, char_v, word_v = build_vocabularies(treebank_of(CORPUS))
     store = ParameterStore(seed=2, dtype=np.float32)
     enc = SentenceEncoder(store, UnitConfig(3, 2, 4, 6), jamo_v, char_v, word_v)
     # encode returns the second layer's BiLSTM node
@@ -420,7 +433,7 @@ def test_encode_runs_each_tier_once_per_sentence(monkeypatch):
 
 
 def test_batched_tiers_keep_float32():
-    jamo_v, char_v, word_v, _ = build_vocabularies(treebank_of(CORPUS))
+    jamo_v, char_v, word_v = build_vocabularies(treebank_of(CORPUS))
     store = ParameterStore(seed=4, dtype=np.float32)
     enc = SentenceEncoder(store, UnitConfig(3, 2, 0, 4), jamo_v, char_v, word_v)
     chars = enc.char_repr("산a☃")

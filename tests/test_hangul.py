@@ -4,7 +4,8 @@ from hypothesis import given, strategies as st
 
 from jamoparse import hangul
 from jamoparse.hangul import (ALPHABET, EMPTY, HEAD_LETTERS, InvalidJamoError, JamoTriple,
-                              TAIL_LETTERS, VOWEL_LETTERS, compose, decompose, decompose_text)
+                              TAIL_LETTERS, VOWEL_LETTERS, compose, decompose, decompose_text,
+                              units)
 
 _CANONICAL = frozenset(ALPHABET)
 
@@ -148,3 +149,17 @@ def test_decompose_text_passthrough(text):
 @given(st.integers(min_value=hangul.SYLLABLE_FIRST, max_value=hangul.SYLLABLE_LAST))
 def test_round_trip_property(code):
     assert compose(decompose(chr(code))) == chr(code)
+
+
+def test_units_of_every_syllable_are_its_triple():
+    codes = range(hangul.SYLLABLE_FIRST, hangul.SYLLABLE_LAST + 1)
+    assert len(codes) == 11172
+    for code in codes:
+        assert units(chr(code)) == tuple(decompose(chr(code)))
+    assert units("다") == ("ㄷ", "ㅏ", EMPTY)  # an open syllable keeps its empty tail
+
+
+@pytest.mark.parametrize("char", ["a", "7", "漢", "ㄱ", EMPTY])
+def test_units_of_any_other_character_is_the_character(char):
+    assert decompose(char) is None
+    assert units(char) == (char,)

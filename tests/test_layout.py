@@ -91,6 +91,30 @@ def test_every_public_function_and_class_is_used_or_exported():
     assert not unused, "defined, never used by the package, not in __all__: %s" % unused
 
 
+def attribute_names(tree):
+    """Counts of the attribute names a tree reads, as in ``obj.name``."""
+    return Counter(node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute))
+
+
+def test_every_public_method_is_used():
+    # a method is reached as an attribute; the benchmark outside its own tests is a real
+    # caller (it reads ParameterStore.count)
+    bench = PACKAGE.parent.parent / "perfbench"
+    callers = list(PACKAGE.glob("*.py")) + [path for path in bench.rglob("*.py")
+                                             if bench / "tests" not in path.parents]
+    references = sum((attribute_names(ast.parse(path.read_text("utf-8"))) for path in callers),
+                     Counter())
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for cls in ast.parse(path.read_text("utf-8")).body:
+            if isinstance(cls, ast.ClassDef):
+                unused.extend("%s.%s.%s" % (path.stem, cls.name, node.name) for node in cls.body
+                              if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                              and not node.name.startswith("_")
+                              and references[node.name] == attribute_names(node)[node.name])
+    assert not unused, "public methods nothing outside tests calls: %s" % unused
+
+
 def test_package_imports_only_the_standard_library_and_numpy():
     # numpy is the package's one dependency (pyproject.toml)
     allowed = set(sys.stdlib_module_names) | {"numpy"}

@@ -375,7 +375,7 @@ def test_only_embedding_tables_are_row_tracked():
 def test_backward_rows_cover_every_nonzero_embedding_row(toy_treebank_path):
     sentences = read_conllu(toy_treebank_path)
     config = UnitConfig(dim_jamo=6, dim_char=5, dim_word=4, dim_encoder=8)
-    jamo_vocab, char_vocab, word_vocab, _ = build_vocabularies(sentences)
+    jamo_vocab, char_vocab, word_vocab = build_vocabularies(sentences)
     label_vocab = build_label_vocabulary(sentences)
     store = ParameterStore(seed=4)
     encoder = SentenceEncoder(store, config, jamo_vocab, char_vocab, word_vocab)

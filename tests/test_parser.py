@@ -500,7 +500,7 @@ def reference_training_pass(encoder, scorer, sentence, label_vocab):
 
 def toy_treebank_model(dtype=np.float64, seed=4):
     sentences = read_conllu(TOY_TREEBANK)
-    jamo_v, char_v, word_v, _ = build_vocabularies(sentences)
+    jamo_v, char_v, word_v = build_vocabularies(sentences)
     label_v = build_label_vocabulary(sentences)
     store = ParameterStore(seed=seed, dtype=dtype)
     encoder = SentenceEncoder(store, UnitConfig(8, 8, 8, 16), jamo_v, char_v, word_v)
@@ -571,7 +571,7 @@ class TestHingeLoss:
 def toy_model(words=None, seed=0, n_labels=2, dim=4):
     words = words or ["산을", "갔다", "나는"]
     tb = [ConlluSentence([Token(w, 0, "root")]) for w in words]
-    jamo_v, char_v, word_v, _ = build_vocabularies(tb)
+    jamo_v, char_v, word_v = build_vocabularies(tb)
     label_v = Vocabulary("label", ["L%d" % i for i in range(n_labels)])
     store = ParameterStore(seed=seed)
     config = UnitConfig(dim_jamo=dim, dim_char=0, dim_word=dim, dim_encoder=dim)
@@ -631,7 +631,7 @@ MEMO_POOL = ["나는", "산을", "갔다", "학교에", "physics", "모르는말
 def memo_model(seed=5):
     """A fresh TrainedModel over the toy treebank's vocabularies (MEMO_POOL holds new forms too)."""
     sentences = read_conllu(TOY_TREEBANK)
-    jamo_v, char_v, word_v, _ = build_vocabularies(sentences)
+    jamo_v, char_v, word_v = build_vocabularies(sentences)
     return sentences, TrainedModel(UnitConfig(6, 4, 4, 8), jamo_v, char_v, word_v,
                                    build_label_vocabulary(sentences),
                                    ParameterStore(seed=seed), hidden_dim=6)
@@ -844,10 +844,51 @@ class TestTraining:
         ("epochs", -1), ("seed", -1), ("hidden_dim", 0), ("learning_rate", 0.0),
         ("learning_rate", float("nan")), ("learning_rate", float("inf")),
         ("optimizer", "adagrad"), ("oracle", "statc"),
+        # the wrong type is refused here, not deep inside train()
+        ("epochs", 1.0), ("seed", 1.5), ("hidden_dim", 4.0), ("explore_from_epoch", 2.0),
+        ("epochs", True), ("seed", "1"), ("float32", "no"), ("float32", 1),
     ])
     def test_settings_out_of_range_rejected(self, field, value):
         with pytest.raises(ValueError, match=field):
             TrainSettings(**{field: value})
+
+    def test_numpy_integer_settings_accepted(self):
+        settings = TrainSettings(epochs=np.int64(1), seed=np.int32(3), hidden_dim=np.int16(4),
+                                 explore_from_epoch=np.uint8(1))
+        assert settings.epochs == 1 and not settings.float32
+
+    def test_float32_training_and_parsing_stay_float32(self, monkeypatch, toy_treebank_path_module):
+        # every node value, every delta before _accumulate's cast, and Adam's moments
+        from jamoparse import autograd, nn, parser as parser_module
+        values, deltas, optimizers = [], [], []
+        node_init, accumulate = autograd.Node.__init__, autograd._accumulate
+
+        def recording_init(node, value, *args, **kwargs):
+            values.append(np.asarray(value).dtype)
+            node_init(node, value, *args, **kwargs)
+
+        def recording_accumulate(node, delta):
+            deltas.append(np.asarray(delta).dtype)
+            accumulate(node, delta)
+
+        def recording_adam(learning_rate):
+            optimizers.append(nn.Adam(learning_rate))
+            return optimizers[-1]
+
+        monkeypatch.setattr(autograd.Node, "__init__", recording_init)
+        for module in (autograd, nn, encoder_module, parser_module):
+            monkeypatch.setattr(module, "_accumulate", recording_accumulate)
+        monkeypatch.setitem(parser_module.OPTIMIZERS, "adam", recording_adam)
+        sentences = read_conllu(toy_treebank_path_module)
+        settings = TrainSettings(epochs=2, seed=5, learning_rate=0.01, hidden_dim=16,
+                                 explore_from_epoch=1, float32=True)
+        result = train(sentences, sentences[:4], TOY_CONFIG, settings)
+        assert len(result.history) == 2 and "las" in result.history[0]  # it also parsed
+        assert values and set(values) == {np.dtype(np.float32)}
+        assert deltas and set(deltas) == {np.dtype(np.float32)}
+        (adam,) = optimizers
+        moments = [*adam._arena[1:], *adam._m.values(), *adam._v.values()]
+        assert adam._m and {moment.dtype for moment in moments} == {np.dtype(np.float32)}
 
     def test_empty_treebank_rejected(self):
         with pytest.raises(ValueError):
@@ -1076,7 +1117,8 @@ class TestModelIO:
         link.symlink_to(target)
         save_model(model, link)
         assert link.is_symlink()
-        assert load_model(target).store.names() == model.store.names()
+        names = [[name for name, _ in m.store.parameters()] for m in (load_model(target), model)]
+        assert names[0] == names[1]
         assert sorted(p.name for p in tmp_path.iterdir()) == ["link.bin", "target.bin"]
 
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
